@@ -17,7 +17,6 @@
 #include <cstdio>
 
 #include "bench/bench_common.h"
-#include "claims/ev_fast.h"
 
 using namespace factcheck;
 using namespace factcheck::bench;
@@ -102,55 +101,6 @@ int main() {
             .AddCell(secs > 0.0 ? batch.result.wall_seconds / secs : 0.0)
             .AddCell(cell.result.selection.cleaned ==
                              batch.result.selection.cleaned
-                         ? 1
-                         : 0);
-        table.EndRow();
-      }
-    }
-    table.Print();
-  }
-
-  // Kernel-layer extension: the same engine batch path with the claims
-  // evaluator's data path toggled — AoS DiscreteDistribution loops vs the
-  // SoA planes kernels (dist/kernels.h).  The workload is rebuilt under
-  // each setting so its shared evaluator (the batch SetObjective) picks
-  // the path up; `match` pins identical selections, so the speedup is
-  // pure data-path, not algorithmic.  Timed as the gated benches are:
-  // one warmup, min over three repetitions.
-  std::printf(
-      "\n# Figure 10d (extension): engine batch path, AoS vs SoA planes\n");
-  {
-    TablePrinter table({"n", "path", "num_cleaned", "evaluations", "seconds",
-                        "speedup_vs_aos", "match"});
-    for (int n : {240, 480, 960}) {
-      exp::ExperimentRunner runner;
-      ClaimEvEvaluator::SetPlanesEnabledForTest(false);
-      exp::Workload aos_w = workloads.Build("engine_scaling", {.size = n});
-      exp::ExperimentCell aos =
-          *runner.TryRunCell(aos_w, "greedy_minvar_batch",
-                             0.1 * aos_w.TotalCost(), /*budget_fraction=*/0.1,
-                             EngineOptions{}, /*repetitions=*/3, /*warmup=*/1,
-                             /*with_objective=*/false, nullptr);
-      ClaimEvEvaluator::SetPlanesEnabledForTest(true);
-      exp::Workload soa_w = workloads.Build("engine_scaling", {.size = n});
-      exp::ExperimentCell soa =
-          *runner.TryRunCell(soa_w, "greedy_minvar_batch",
-                             0.1 * soa_w.TotalCost(), /*budget_fraction=*/0.1,
-                             EngineOptions{}, /*repetitions=*/3, /*warmup=*/1,
-                             /*with_objective=*/false, nullptr);
-      const exp::ExperimentCell* cells[] = {&aos, &soa};
-      const char* names[] = {"aos", "soa_planes"};
-      for (int c = 0; c < 2; ++c) {
-        double secs = cells[c]->wall_ms_min / 1000.0;
-        table.AddCell(n)
-            .AddCell(names[c])
-            .AddCell(
-                static_cast<int>(cells[c]->result.selection.cleaned.size()))
-            .AddCell(static_cast<long>(cells[c]->evaluations))
-            .AddCell(secs)
-            .AddCell(secs > 0.0 ? (aos.wall_ms_min / 1000.0) / secs : 0.0)
-            .AddCell(cells[c]->result.selection.cleaned ==
-                             aos.result.selection.cleaned
                          ? 1
                          : 0);
         table.EndRow();

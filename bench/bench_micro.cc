@@ -83,22 +83,19 @@ BENCHMARK(BM_DistKernelsConvolve)->Arg(4)->Arg(6);
 
 void BM_DistKernelsEvOverlapping(benchmark::State& state) {
   // The dist_kernels cell: overlapping claims so both the 1-D and the 2-D
-  // kernels run; arg 0 pins the legacy AoS path, arg 1 the SoA planes
-  // path.  A fresh evaluator per iteration keeps the term caches cold —
-  // this times the kernels, not the memoization.
-  const bool planes = state.range(0) != 0;
+  // kernels run.  A fresh evaluator per iteration keeps the term caches
+  // cold — this times the kernels, not the memoization.
   CleaningProblem problem = data::MakeSynthetic(
       data::SyntheticFamily::kUniformRandom, 7, {.size = 24});
   PerturbationSet context = SlidingWindowSumPerturbations(24, 4, 0, 1.5);
   std::vector<int> cleaned = {1, 5, 9, 13};
   for (auto _ : state) {
     ClaimEvEvaluator evaluator(&problem, &context,
-                               QualityMeasure::kDuplicity, 120.0,
-                               StrengthDirection::kHigherIsStronger, planes);
+                               QualityMeasure::kDuplicity, 120.0);
     benchmark::DoNotOptimize(evaluator.EV(cleaned));
   }
 }
-BENCHMARK(BM_DistKernelsEvOverlapping)->Arg(0)->Arg(1);
+BENCHMARK(BM_DistKernelsEvOverlapping);
 
 void BM_BruteForceEvEnumeration(benchmark::State& state) {
   // The exponential baseline the Theorem-3.8 evaluator replaces.

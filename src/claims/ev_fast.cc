@@ -1,123 +1,38 @@
 #include "claims/ev_fast.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cmath>
 #include <memory>
 #include <queue>
 #include <set>
 
 #include "core/engine.h"
-#include "dist/convolution.h"
 #include "dist/planes.h"
 #include "util/check.h"
 
 namespace factcheck {
 namespace {
 
-// Default data path for new evaluators; flipped by SetPlanesEnabledForTest
-// around workload construction in the equivalence tests and the planes
-// on/off bench sections.
-std::atomic<bool> g_planes_enabled{true};
-
-// Terms at most this wide memoize into a flat mask-indexed array (planes
-// path): 2^12 doubles = 32 KiB per term, allocated lazily on first touch.
-// Wider terms fall back to the hash-map cache shared with the legacy path.
+// Terms at most this wide memoize into a flat mask-indexed array: 2^12
+// doubles = 32 KiB per term, allocated lazily on first touch.  Wider terms
+// up to kHashCacheBits fall back to the hash-map cache; wider still are
+// recomputed on every call.
 constexpr int kFlatCacheBits = 12;
-
-// Bitmask of which members are cleaned; -1 when the term is too wide to
-// cache (> 30 members).
-int64_t CleanedMask(const std::vector<int>& members,
-                    const std::vector<bool>& is_cleaned) {
-  if (members.size() > 30) return -1;
-  int64_t mask = 0;
-  for (size_t j = 0; j < members.size(); ++j) {
-    if (is_cleaned[members[j]]) mask |= int64_t{1} << j;
-  }
-  return mask;
-}
-
-// Compile-time dispatch of QualityTransform: selects the (measure,
-// direction) branch once per term and hands `fn` a factory `make_g` that
-// builds the per-claim transform closure from its sensibility.  Each
-// closure performs exactly QualityTransform's arithmetic in the same
-// order, so planes-path kernels produce bit-identical values to the
-// legacy per-atom Transform() calls while keeping the transform inlinable
-// inside the kernel loops.
-template <typename Fn>
-void DispatchMeasure(QualityMeasure measure, StrengthDirection direction,
-                     double reference, Fn&& fn) {
-  const bool higher = direction == StrengthDirection::kHigherIsStronger;
-  switch (measure) {
-    case QualityMeasure::kBias:
-      if (higher) {
-        fn([reference](double s) {
-          return [s, reference](double q) { return s * (q - reference); };
-        });
-      } else {
-        fn([reference](double s) {
-          return [s, reference](double q) { return s * (reference - q); };
-        });
-      }
-      return;
-    case QualityMeasure::kDuplicity:
-      if (higher) {
-        fn([reference](double s) {
-          (void)s;
-          return [reference](double q) {
-            return q - reference >= 0.0 ? 1.0 : 0.0;
-          };
-        });
-      } else {
-        fn([reference](double s) {
-          (void)s;
-          return [reference](double q) {
-            return reference - q >= 0.0 ? 1.0 : 0.0;
-          };
-        });
-      }
-      return;
-    case QualityMeasure::kFragility:
-      if (higher) {
-        fn([reference](double s) {
-          return [s, reference](double q) {
-            double neg = std::min(q - reference, 0.0);
-            return s * neg * neg;
-          };
-        });
-      } else {
-        fn([reference](double s) {
-          return [s, reference](double q) {
-            double neg = std::min(reference - q, 0.0);
-            return s * neg * neg;
-          };
-        });
-      }
-      return;
-  }
-  FC_CHECK(false);
-}
+constexpr int kHashCacheBits = 30;
 
 }  // namespace
-
-void ClaimEvEvaluator::SetPlanesEnabledForTest(bool enabled) {
-  g_planes_enabled.store(enabled, std::memory_order_relaxed);
-}
 
 ClaimEvEvaluator::ClaimEvEvaluator(const CleaningProblem* problem,
                                    const PerturbationSet* context,
                                    QualityMeasure measure, double reference,
-                                   StrengthDirection direction,
-                                   std::optional<bool> use_planes)
+                                   StrengthDirection direction)
     : problem_(problem),
       context_(context),
       measure_(measure),
       reference_(reference),
-      direction_(direction),
-      use_planes_(use_planes.value_or(
-          g_planes_enabled.load(std::memory_order_relaxed))) {
+      direction_(direction) {
   FC_CHECK(problem_ != nullptr);
   FC_CHECK(context_ != nullptr);
+  planes_ = problem_->planes_ptr();
   seen_epoch_ = problem_->epoch();
   int m = context_->size();
   int n = problem_->size();
@@ -189,55 +104,47 @@ ClaimEvEvaluator::ClaimEvEvaluator(const CleaningProblem* problem,
   ecov_cache_.resize(pairs_.size());
   evar_flat_cache_.resize(m);
   ecov_flat_cache_.resize(pairs_.size());
-  if (use_planes_) {
-    planes_ = problem_->planes_ptr();
-    // EVFast needs every term mask to fit a flat cache; one wide claim or
-    // pair falls the whole evaluator back to the generic EV loop.
-    bool ok = true;
+  // EVFast needs every term mask to fit a flat cache; one wide claim or
+  // pair falls the whole evaluator back to the generic EV loop.
+  bool ok = true;
+  for (const auto& comps : claim_components_) {
+    if (static_cast<int>(comps.size()) > kFlatCacheBits) ok = false;
+  }
+  for (const auto& members : pair_members_) {
+    if (static_cast<int>(members.size()) > kFlatCacheBits) ok = false;
+  }
+  fast_ev_ok_ = ok;
+  if (ok) {
+    term_inc_offset_.assign(n + 1, 0);
+    pair_inc_offset_.assign(n + 1, 0);
     for (const auto& comps : claim_components_) {
-      if (static_cast<int>(comps.size()) > kFlatCacheBits) ok = false;
+      for (const Component& c : comps) ++term_inc_offset_[c.object + 1];
     }
     for (const auto& members : pair_members_) {
-      if (static_cast<int>(members.size()) > kFlatCacheBits) ok = false;
+      for (int obj : members) ++pair_inc_offset_[obj + 1];
     }
-    fast_ev_ok_ = ok;
-    if (ok) {
-      term_inc_offset_.assign(n + 1, 0);
-      pair_inc_offset_.assign(n + 1, 0);
-      for (const auto& comps : claim_components_) {
-        for (const Component& c : comps) ++term_inc_offset_[c.object + 1];
+    for (int i = 0; i < n; ++i) {
+      term_inc_offset_[i + 1] += term_inc_offset_[i];
+      pair_inc_offset_[i + 1] += pair_inc_offset_[i];
+    }
+    term_inc_.resize(term_inc_offset_[n]);
+    pair_inc_.resize(pair_inc_offset_[n]);
+    std::vector<int> cursor(term_inc_offset_.begin(),
+                            term_inc_offset_.end() - 1);
+    for (int k = 0; k < m; ++k) {
+      const auto& comps = claim_components_[k];
+      for (int j = 0; j < static_cast<int>(comps.size()); ++j) {
+        term_inc_[cursor[comps[j].object]++] = {k, std::uint32_t{1} << j};
       }
-      for (const auto& members : pair_members_) {
-        for (int obj : members) ++pair_inc_offset_[obj + 1];
-      }
-      for (int i = 0; i < n; ++i) {
-        term_inc_offset_[i + 1] += term_inc_offset_[i];
-        pair_inc_offset_[i + 1] += pair_inc_offset_[i];
-      }
-      term_inc_.resize(term_inc_offset_[n]);
-      pair_inc_.resize(pair_inc_offset_[n]);
-      std::vector<int> cursor(term_inc_offset_.begin(),
-                              term_inc_offset_.end() - 1);
-      for (int k = 0; k < m; ++k) {
-        const auto& comps = claim_components_[k];
-        for (int j = 0; j < static_cast<int>(comps.size()); ++j) {
-          term_inc_[cursor[comps[j].object]++] = {k, std::uint32_t{1} << j};
-        }
-      }
-      cursor.assign(pair_inc_offset_.begin(), pair_inc_offset_.end() - 1);
-      for (int p = 0; p < static_cast<int>(pairs_.size()); ++p) {
-        const auto& members = pair_members_[p];
-        for (int j = 0; j < static_cast<int>(members.size()); ++j) {
-          pair_inc_[cursor[members[j]]++] = {p, std::uint32_t{1} << j};
-        }
+    }
+    cursor.assign(pair_inc_offset_.begin(), pair_inc_offset_.end() - 1);
+    for (int p = 0; p < static_cast<int>(pairs_.size()); ++p) {
+      const auto& members = pair_members_[p];
+      for (int j = 0; j < static_cast<int>(members.size()); ++j) {
+        pair_inc_[cursor[members[j]]++] = {p, std::uint32_t{1} << j};
       }
     }
   }
-}
-
-double ClaimEvEvaluator::Transform(int k, double q) const {
-  return QualityTransform(measure_, q, reference_,
-                          context_->sensibilities[k], direction_);
 }
 
 void ClaimEvEvaluator::RefreshIfStale() const {
@@ -290,14 +197,14 @@ void ClaimEvEvaluator::RefreshAllTerms() const {
     c.value.clear();
     c.present.clear();
   }
-  if (use_planes_) planes_ = problem_->planes_ptr();
+  planes_ = problem_->planes_ptr();
   // The EVFast base values are re-derived lazily by the next InitFastEv
   // (which also resizes cleaned_scratch_ to the new object count).
   fast_ev_ready_ = false;
 }
 
 void ClaimEvEvaluator::RefreshObjects(const std::vector<int>& changed) const {
-  if (use_planes_) planes_ = problem_->planes_ptr();
+  planes_ = problem_->planes_ptr();
   // Theorem 3.8's locality in reverse: a distribution change to object i
   // can only move the terms of claims/pairs referencing i.  Gather that
   // footprint (sorted unique — neighbouring changed objects share terms)
@@ -357,47 +264,12 @@ double* ClaimEvEvaluator::FlatSlot(FlatTermCache& cache, int width,
   return &cache.value[mask];
 }
 
-// --- Legacy AoS data path --------------------------------------------------
+// --- Term computation ------------------------------------------------------
 
-ClaimEvEvaluator::Dist1D ClaimEvEvaluator::Convolve1D(
+int ClaimEvEvaluator::ConvolveComponents(
     const std::vector<Component>& components,
-    const std::vector<bool>& is_cleaned, bool want_cleaned) const {
-  std::vector<WeightedTerm> terms;
-  terms.reserve(components.size());
-  for (const Component& comp : components) {
-    if (is_cleaned[comp.object] != want_cleaned) continue;
-    terms.push_back({&problem_->object(comp.object).dist, comp.coeff});
-  }
-  SumDistribution sum = ConvolveSum(terms);
-  Dist1D out;
-  out.reserve(sum.size());
-  for (const SumAtom& a : sum) out.push_back({a.value, a.prob});
-  return out;
-}
-
-ClaimEvEvaluator::Dist2D ClaimEvEvaluator::Convolve2D(
-    const std::vector<Component2>& components,
-    const std::vector<bool>& is_cleaned, bool want_cleaned) const {
-  std::vector<WeightedTerm2> terms;
-  terms.reserve(components.size());
-  for (const Component2& comp : components) {
-    if (is_cleaned[comp.object] != want_cleaned) continue;
-    terms.push_back({&problem_->object(comp.object).dist, comp.coeff_a,
-                     comp.coeff_b});
-  }
-  SumDistribution2 sum = ConvolveSum2(terms);
-  Dist2D out;
-  out.reserve(sum.size());
-  for (const SumAtom2& a : sum) out.push_back({a.a, a.b, a.prob});
-  return out;
-}
-
-// --- SoA planes data path --------------------------------------------------
-
-int ClaimEvEvaluator::Convolve1DPlanes(const std::vector<Component>& components,
-                                       const std::vector<bool>& is_cleaned,
-                                       bool want_cleaned,
-                                       ConvolutionWorkspace& ws) const {
+    const std::vector<bool>& is_cleaned, bool want_cleaned,
+    ConvolutionWorkspace& ws) const {
   term_scratch_.clear();
   for (const Component& comp : components) {
     if (is_cleaned[comp.object] != want_cleaned) continue;
@@ -410,7 +282,7 @@ int ClaimEvEvaluator::Convolve1DPlanes(const std::vector<Component>& components,
                          &counters_);
 }
 
-int ClaimEvEvaluator::Convolve2DPlanes(
+int ClaimEvEvaluator::ConvolveComponents2(
     const std::vector<Component2>& components,
     const std::vector<bool>& is_cleaned, bool want_cleaned,
     ConvolutionWorkspace2& ws) const {
@@ -427,19 +299,19 @@ int ClaimEvEvaluator::Convolve2DPlanes(
                           &counters_);
 }
 
-double ClaimEvEvaluator::EVarTermPlanes(
+double ClaimEvEvaluator::EVarTermUncached(
     int k, const std::vector<bool>& is_cleaned) const {
   const auto& comps = claim_components_[k];
-  const int nu = Convolve1DPlanes(comps, is_cleaned, false, ws1_a_);
+  const int nu = ConvolveComponents(comps, is_cleaned, false, ws1_a_);
   if (nu <= 1) return 0.0;  // fully cleaned => no variance
-  const int ncl = Convolve1DPlanes(comps, is_cleaned, true, ws1_b_);
+  const int ncl = ConvolveComponents(comps, is_cleaned, true, ws1_b_);
   const double base = claim_intercepts_[k];
   const double* FC_RESTRICT cv = ws1_b_.values();
   const double* FC_RESTRICT cp = ws1_b_.probs();
   const double* FC_RESTRICT sv = ws1_a_.values();
   const double* FC_RESTRICT sp = ws1_a_.probs();
   double ev = 0.0;
-  DispatchMeasure(measure_, direction_, reference_, [&](auto make_g) {
+  DispatchQualityTransform(measure_, direction_, reference_, [&](auto make_g) {
     auto g = make_g(context_->sensibilities[k]);
     for (int c = 0; c < ncl; ++c) {
       double m1, m2;
@@ -451,13 +323,13 @@ double ClaimEvEvaluator::EVarTermPlanes(
   return ev;
 }
 
-double ClaimEvEvaluator::MeanTermPlanes(
-    int k, const std::vector<bool>& is_cleaned) const {
+double ClaimEvEvaluator::MeanTerm(int k,
+                                  const std::vector<bool>& is_cleaned) const {
   const auto& comps = claim_components_[k];
-  const int nu = Convolve1DPlanes(comps, is_cleaned, false, ws1_a_);
-  const int ncl = Convolve1DPlanes(comps, is_cleaned, true, ws1_b_);
+  const int nu = ConvolveComponents(comps, is_cleaned, false, ws1_a_);
+  const int ncl = ConvolveComponents(comps, is_cleaned, true, ws1_b_);
   double mean = 0.0;
-  DispatchMeasure(measure_, direction_, reference_, [&](auto make_g) {
+  DispatchQualityTransform(measure_, direction_, reference_, [&](auto make_g) {
     auto g = make_g(context_->sensibilities[k]);
     mean = CrossTransformedSum(ws1_b_.values(), ws1_b_.probs(), ncl,
                                ws1_a_.values(), ws1_a_.probs(), nu,
@@ -466,15 +338,15 @@ double ClaimEvEvaluator::MeanTermPlanes(
   return mean;
 }
 
-double ClaimEvEvaluator::ECovTermPlanes(
+double ClaimEvEvaluator::ECovTermUncached(
     int pair_idx, const std::vector<bool>& is_cleaned) const {
   const Pair& pair = pairs_[pair_idx];
   // No uncleaned shared object => conditional independence => zero.
-  const int nsh = Convolve2DPlanes(pair.shared, is_cleaned, false, ws2_a_);
+  const int nsh = ConvolveComponents2(pair.shared, is_cleaned, false, ws2_a_);
   if (nsh <= 1) return 0.0;
-  const int ncl = Convolve2DPlanes(pair.all, is_cleaned, true, ws2_b_);
-  const int n1 = Convolve1DPlanes(pair.exclusive1, is_cleaned, false, ws1_a_);
-  const int n2 = Convolve1DPlanes(pair.exclusive2, is_cleaned, false, ws1_b_);
+  const int ncl = ConvolveComponents2(pair.all, is_cleaned, true, ws2_b_);
+  const int n1 = ConvolveComponents(pair.exclusive1, is_cleaned, false, ws1_a_);
+  const int n2 = ConvolveComponents(pair.exclusive2, is_cleaned, false, ws1_b_);
   const double base1 = claim_intercepts_[pair.k1];
   const double base2 = claim_intercepts_[pair.k2];
   const double* FC_RESTRICT ca = ws2_b_.a();
@@ -488,11 +360,11 @@ double ClaimEvEvaluator::ECovTermPlanes(
   const double* FC_RESTRICT x2v = ws1_b_.values();
   const double* FC_RESTRICT x2p = ws1_b_.probs();
   double ecov = 0.0;
-  DispatchMeasure(measure_, direction_, reference_, [&](auto make_g) {
+  DispatchQualityTransform(measure_, direction_, reference_, [&](auto make_g) {
     auto g1 = make_g(context_->sensibilities[pair.k1]);
     auto g2 = make_g(context_->sensibilities[pair.k2]);
     for (int c = 0; c < ncl; ++c) {
-      // (base + c) + d + value reproduces the legacy shift grouping.
+      // Shifts group as (base + c) + d + value, a fixed order.
       const double c1 = base1 + ca[c];
       const double c2 = base2 + cb[c];
       double e12 = 0.0, e1 = 0.0, e2 = 0.0;
@@ -511,137 +383,47 @@ double ClaimEvEvaluator::ECovTermPlanes(
 
 // --- Term memoization and dispatch ----------------------------------------
 
+template <typename Compute>
+double ClaimEvEvaluator::Memoized(FlatTermCache& flat, HashTermCache& hash,
+                                  int width, std::uint32_t mask,
+                                  Compute&& compute) {
+  if (width <= kFlatCacheBits) {
+    bool found = false;
+    double* slot = FlatSlot(flat, width, mask, &found);
+    if (!found) *slot = compute();
+    return *slot;
+  }
+  auto it = hash.find(mask);
+  if (it != hash.end()) return it->second;
+  const double value = compute();
+  hash.emplace(mask, value);
+  return value;
+}
+
 double ClaimEvEvaluator::EVarTerm(int k,
                                   const std::vector<bool>& is_cleaned) const {
   const auto& comps = claim_components_[k];
   const int width = static_cast<int>(comps.size());
-  if (use_planes_ && width <= kFlatCacheBits) {
-    std::uint32_t mask = 0;
-    for (int j = 0; j < width; ++j) {
-      if (is_cleaned[comps[j].object]) mask |= std::uint32_t{1} << j;
-    }
-    bool found = false;
-    double* slot = FlatSlot(evar_flat_cache_[k], width, mask, &found);
-    if (found) return *slot;
-    double value = EVarTermUncached(k, is_cleaned);
-    *slot = value;
-    return value;
+  if (width > kHashCacheBits) return EVarTermUncached(k, is_cleaned);
+  std::uint32_t mask = 0;
+  for (int j = 0; j < width; ++j) {
+    if (is_cleaned[comps[j].object]) mask |= std::uint32_t{1} << j;
   }
-  if (width <= 30) {
-    int64_t mask = 0;
-    for (int j = 0; j < width; ++j) {
-      if (is_cleaned[comps[j].object]) mask |= int64_t{1} << j;
-    }
-    auto& cache = evar_cache_[k];
-    auto it = cache.find(static_cast<uint32_t>(mask));
-    if (it != cache.end()) return it->second;
-    double value = EVarTermUncached(k, is_cleaned);
-    cache.emplace(static_cast<uint32_t>(mask), value);
-    return value;
-  }
-  return EVarTermUncached(k, is_cleaned);
-}
-
-double ClaimEvEvaluator::EVarTermUncached(
-    int k, const std::vector<bool>& is_cleaned) const {
-  if (use_planes_) return EVarTermPlanes(k, is_cleaned);
-  const auto& comps = claim_components_[k];
-  Dist1D uncleaned = Convolve1D(comps, is_cleaned, false);
-  if (uncleaned.size() <= 1) return 0.0;  // fully cleaned => no variance
-  Dist1D cleaned = Convolve1D(comps, is_cleaned, true);
-  double base = claim_intercepts_[k];
-  double ev = 0.0;
-  for (const Atom& c : cleaned) {
-    double m1 = 0.0, m2 = 0.0;
-    for (const Atom& s : uncleaned) {
-      double g = Transform(k, base + c.value + s.value);
-      m1 += s.prob * g;
-      m2 += s.prob * g * g;
-    }
-    double var = m2 - m1 * m1;
-    if (var > 0.0) ev += c.prob * var;
-  }
-  return ev;
-}
-
-double ClaimEvEvaluator::MeanTerm(int k,
-                                  const std::vector<bool>& is_cleaned) const {
-  if (use_planes_) return MeanTermPlanes(k, is_cleaned);
-  const auto& comps = claim_components_[k];
-  Dist1D uncleaned = Convolve1D(comps, is_cleaned, false);
-  Dist1D cleaned = Convolve1D(comps, is_cleaned, true);
-  double base = claim_intercepts_[k];
-  double mean = 0.0;
-  for (const Atom& c : cleaned) {
-    for (const Atom& s : uncleaned) {
-      mean += c.prob * s.prob * Transform(k, base + c.value + s.value);
-    }
-  }
-  return mean;
+  return Memoized(evar_flat_cache_[k], evar_cache_[k], width, mask,
+                  [&] { return EVarTermUncached(k, is_cleaned); });
 }
 
 double ClaimEvEvaluator::ECovTerm(int pair_idx,
                                   const std::vector<bool>& is_cleaned) const {
   const auto& members = pair_members_[pair_idx];
   const int width = static_cast<int>(members.size());
-  if (use_planes_ && width <= kFlatCacheBits) {
-    std::uint32_t mask = 0;
-    for (int j = 0; j < width; ++j) {
-      if (is_cleaned[members[j]]) mask |= std::uint32_t{1} << j;
-    }
-    bool found = false;
-    double* slot = FlatSlot(ecov_flat_cache_[pair_idx], width, mask, &found);
-    if (found) return *slot;
-    double value = ECovTermUncached(pair_idx, is_cleaned);
-    *slot = value;
-    return value;
+  if (width > kHashCacheBits) return ECovTermUncached(pair_idx, is_cleaned);
+  std::uint32_t mask = 0;
+  for (int j = 0; j < width; ++j) {
+    if (is_cleaned[members[j]]) mask |= std::uint32_t{1} << j;
   }
-  int64_t mask = CleanedMask(members, is_cleaned);
-  if (mask >= 0) {
-    auto& cache = ecov_cache_[pair_idx];
-    auto it = cache.find(static_cast<uint32_t>(mask));
-    if (it != cache.end()) return it->second;
-    double value = ECovTermUncached(pair_idx, is_cleaned);
-    cache.emplace(static_cast<uint32_t>(mask), value);
-    return value;
-  }
-  return ECovTermUncached(pair_idx, is_cleaned);
-}
-
-double ClaimEvEvaluator::ECovTermUncached(
-    int pair_idx, const std::vector<bool>& is_cleaned) const {
-  if (use_planes_) return ECovTermPlanes(pair_idx, is_cleaned);
-  const Pair& pair = pairs_[pair_idx];
-  // No uncleaned shared object => conditional independence => zero.
-  Dist2D shared_uncleaned = Convolve2D(pair.shared, is_cleaned, false);
-  if (shared_uncleaned.size() <= 1) return 0.0;
-
-  // Joint cleaned contribution across the union of both claims' refs.
-  Dist2D cleaned_joint = Convolve2D(pair.all, is_cleaned, true);
-  Dist1D excl1 = Convolve1D(pair.exclusive1, is_cleaned, false);
-  Dist1D excl2 = Convolve1D(pair.exclusive2, is_cleaned, false);
-
-  double base1 = claim_intercepts_[pair.k1];
-  double base2 = claim_intercepts_[pair.k2];
-  double ecov = 0.0;
-  for (const Atom2& c : cleaned_joint) {
-    double e12 = 0.0, e1 = 0.0, e2 = 0.0;
-    for (const Atom2& d : shared_uncleaned) {
-      double h1 = 0.0;
-      for (const Atom& a : excl1) {
-        h1 += a.prob * Transform(pair.k1, base1 + c.a + d.a + a.value);
-      }
-      double h2 = 0.0;
-      for (const Atom& a : excl2) {
-        h2 += a.prob * Transform(pair.k2, base2 + c.b + d.b + a.value);
-      }
-      e12 += d.prob * h1 * h2;
-      e1 += d.prob * h1;
-      e2 += d.prob * h2;
-    }
-    ecov += c.prob * (e12 - e1 * e2);
-  }
-  return ecov;
+  return Memoized(ecov_flat_cache_[pair_idx], ecov_cache_[pair_idx], width,
+                  mask, [&] { return ECovTermUncached(pair_idx, is_cleaned); });
 }
 
 double ClaimEvEvaluator::EVarTermMask(int k, std::uint32_t mask) const {
@@ -655,7 +437,7 @@ double ClaimEvEvaluator::EVarTermMask(int k, std::uint32_t mask) const {
       cleaned_scratch_[comps[j].object] = true;
     }
   }
-  double value = EVarTermPlanes(k, cleaned_scratch_);
+  double value = EVarTermUncached(k, cleaned_scratch_);
   for (int j = 0; j < width; ++j) {
     if (mask & (std::uint32_t{1} << j)) {
       cleaned_scratch_[comps[j].object] = false;
@@ -674,7 +456,7 @@ double ClaimEvEvaluator::ECovTermMask(int pair_idx, std::uint32_t mask) const {
   for (int j = 0; j < width; ++j) {
     if (mask & (std::uint32_t{1} << j)) cleaned_scratch_[members[j]] = true;
   }
-  double value = ECovTermPlanes(pair_idx, cleaned_scratch_);
+  double value = ECovTermUncached(pair_idx, cleaned_scratch_);
   for (int j = 0; j < width; ++j) {
     if (mask & (std::uint32_t{1} << j)) cleaned_scratch_[members[j]] = false;
   }
@@ -694,7 +476,7 @@ void ClaimEvEvaluator::InitFastEv() const {
   pair_mask_.assign(np, 0);
   touched_terms_.reserve(m);
   touched_pairs_.reserve(np);
-  // EV(empty), accumulated in the legacy claim-then-pair order.
+  // EV(empty), accumulated in EV()'s claim-then-pair order.
   double total = 0.0;
   for (int k = 0; k < m; ++k) {
     base_evar_[k] = EVarTermMask(k, 0);
@@ -760,7 +542,7 @@ double ClaimEvEvaluator::EVFast(const std::vector<int>& cleaned) const {
 
 double ClaimEvEvaluator::EV(const std::vector<int>& cleaned) const {
   RefreshIfStale();
-  if (fast_ev_ok_) return EVFast(cleaned);  // planes path, narrow terms
+  if (fast_ev_ok_) return EVFast(cleaned);  // narrow terms
   cleaned_scratch_.assign(problem_->size(), false);
   std::vector<bool>& is_cleaned = cleaned_scratch_;
   for (int i : cleaned) {
@@ -810,6 +592,7 @@ double ClaimEvEvaluator::Benefit(int i, std::vector<bool>& is_cleaned,
 }
 
 int ClaimEvEvaluator::NumClaimsReferencing(int object) const {
+  RefreshIfStale();
   FC_CHECK_GE(object, 0);
   FC_CHECK_LT(object, problem_->size());
   return static_cast<int>(object_claims_[object].size());

@@ -19,21 +19,18 @@
 // are maintained incrementally and selection runs near-linearly in the
 // number of cleanings (the Fig 10 efficiency experiments).
 //
-// Data path: by default the evaluator reads the problem's shared SoA
-// distribution planes (CleaningProblem::planes()) and computes every term
-// through the flat-array kernels of dist/kernels.h with per-evaluator
-// reused workspaces and flat (mask-indexed) term caches — bit-identical
-// to, and several times faster than, the legacy AoS path through
-// DiscreteDistribution + ConvolveSum.  The legacy path is kept behind
-// `use_planes = false` (and SetPlanesEnabledForTest) as the equivalence
-// oracle and perf baseline.
+// Data path: the evaluator reads the problem's shared SoA distribution
+// planes (CleaningProblem::planes()) and computes every term through the
+// flat-array kernels of dist/kernels.h with per-evaluator reused
+// workspaces.  Term values are memoized on the cleaned-subset mask of the
+// term's members, in a tier chosen by term width: a flat mask-indexed
+// array (<= 12 members), a hash map (<= 30), uncached beyond that.
 
 #ifndef FACTCHECK_CLAIMS_EV_FAST_H_
 #define FACTCHECK_CLAIMS_EV_FAST_H_
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -53,22 +50,11 @@ class ClaimEvEvaluator {
  public:
   // `problem` and `context` must outlive the evaluator.  `reference` is
   // q*(u) evaluated on the current values (or the claim's stated Gamma).
-  // `use_planes` overrides the process default (on, unless a test flipped
-  // SetPlanesEnabledForTest): false pins the legacy AoS data path.
   ClaimEvEvaluator(const CleaningProblem* problem,
                    const PerturbationSet* context, QualityMeasure measure,
                    double reference,
                    StrengthDirection direction =
-                       StrengthDirection::kHigherIsStronger,
-                   std::optional<bool> use_planes = std::nullopt);
-
-  // Process-wide default for the SoA-planes data path; tests and the
-  // planes-on/off benches flip it around workload construction.  Not
-  // synchronized — call only from a single thread while no evaluator is
-  // being constructed.
-  static void SetPlanesEnabledForTest(bool enabled);
-
-  bool planes_enabled() const { return use_planes_; }
+                       StrengthDirection::kHigherIsStronger);
 
   // Deterministic kernel-work counters (calls + atoms) accumulated over
   // this evaluator's lifetime; GreedyMinVar reports per-run deltas
@@ -111,42 +97,36 @@ class ClaimEvEvaluator {
   int NumClaimsReferencing(int object) const;
 
   // Epoch resynchronization with the underlying problem, run by every
-  // public evaluation entry point (EV, Moments, GreedyMinVar, and the
-  // incremental objective's Reset): if the problem mutated since this
+  // public entry point that reads problem state (EV, Moments,
+  // GreedyMinVar, NumClaimsReferencing, and the incremental objective's
+  // Reset): if the problem mutated since this
   // evaluator last looked (CleaningProblem::epoch), the touched term
-  // caches — and, on the planes path, the planes snapshot and the EVFast
-  // base values — are refreshed before any value is served.  A
-  // distribution change to object i invalidates exactly the claims/pairs
-  // referencing i (Theorem 3.8's locality, applied in reverse);
-  // value/cost-only changes invalidate nothing (the terms integrate only
-  // over distributions); structural changes (and a journal that no longer
-  // reaches our stamp) refresh everything.  The claim set itself is fixed
-  // at construction: objects added later are cleanable but unreferenced,
-  // and an object may only be removed while no claim references it.
+  // caches, the planes snapshot and the EVFast base values are refreshed
+  // before any value is served.  A distribution change to object i
+  // invalidates exactly the claims/pairs referencing i (Theorem 3.8's
+  // locality, applied in reverse); value/cost-only changes invalidate
+  // nothing (the terms integrate only over distributions); structural
+  // changes (and a journal that no longer reaches our stamp) refresh
+  // everything.  The claim set itself is fixed at construction: objects
+  // added later are cleanable but unreferenced, and an object may only be
+  // removed while no claim references it.
   void RefreshIfStale() const;
 
  private:
   friend class ClaimIncrementalObjective;
-
-  struct Atom {
-    double value;
-    double prob;
-  };
-  using Dist1D = std::vector<Atom>;
-  struct Atom2 {
-    double a;
-    double b;
-    double prob;
-  };
-  using Dist2D = std::vector<Atom2>;
 
   // One scaled component of a claim's sum: coeff * X_{object}.
   struct Component {
     int object;
     double coeff;
   };
-
-  double Transform(int k, double q) const;
+  // A component of a pair's joint sum: X_{object} enters claim k1's sum
+  // with coeff_a and claim k2's with coeff_b.
+  struct Component2 {
+    int object;
+    double coeff_a;
+    double coeff_b;
+  };
 
   // RefreshIfStale's three repair stages: resize the object-indexed
   // tables after a tail add/remove, drop and re-derive everything, or
@@ -156,52 +136,29 @@ class ClaimEvEvaluator {
   void RefreshAllTerms() const;
   void RefreshObjects(const std::vector<int>& changed) const;
 
-  // --- Legacy AoS data path (use_planes = false; the oracle) --------------
-
-  // Distribution of sum(coeff_i X_i) over `components`, restricted to those
-  // whose cleaned-flag equals `want_cleaned`.
-  Dist1D Convolve1D(const std::vector<Component>& components,
-                    const std::vector<bool>& is_cleaned,
-                    bool want_cleaned) const;
-
-  // Joint distribution of (sum a-coeffs, sum b-coeffs) over the given
-  // two-coefficient components with the matching cleaned-flag.
-  struct Component2 {
-    int object;
-    double coeff_a;
-    double coeff_b;
-  };
-  Dist2D Convolve2D(const std::vector<Component2>& components,
-                    const std::vector<bool>& is_cleaned,
-                    bool want_cleaned) const;
-
-  // --- SoA planes data path (use_planes = true; the default) --------------
-
-  // Convolve the matching components into `ws` via the flat kernels;
-  // returns the atom count (planes readable off the workspace).
-  int Convolve1DPlanes(const std::vector<Component>& components,
-                       const std::vector<bool>& is_cleaned, bool want_cleaned,
-                       ConvolutionWorkspace& ws) const;
-  int Convolve2DPlanes(const std::vector<Component2>& components,
-                       const std::vector<bool>& is_cleaned, bool want_cleaned,
-                       ConvolutionWorkspace2& ws) const;
-  double EVarTermPlanes(int k, const std::vector<bool>& is_cleaned) const;
-  double MeanTermPlanes(int k, const std::vector<bool>& is_cleaned) const;
-  double ECovTermPlanes(int pair_idx,
-                        const std::vector<bool>& is_cleaned) const;
+  // Convolve the components whose cleaned-flag equals `want_cleaned` into
+  // `ws` via the flat kernels: the distribution of sum(coeff_i X_i) (1-D),
+  // or the joint (sum coeff_a X_i, sum coeff_b X_i) (2-D).  Returns the
+  // atom count (planes readable off the workspace).
+  int ConvolveComponents(const std::vector<Component>& components,
+                         const std::vector<bool>& is_cleaned,
+                         bool want_cleaned, ConvolutionWorkspace& ws) const;
+  int ConvolveComponents2(const std::vector<Component2>& components,
+                          const std::vector<bool>& is_cleaned,
+                          bool want_cleaned, ConvolutionWorkspace2& ws) const;
 
   // Sparse EV over the planes caches: EV(T) = EV(empty) + sum over the
   // claim/pair terms TOUCHED by T of (term(mask) - term(empty)).  Only
   // terms referencing a cleaned object pay a cache lookup, so a batch EV
   // probe costs O(|T| * degree) instead of O(m).  The base-plus-delta
   // aggregation is deterministic for canonical (sorted) cleaned sets but
-  // rounds differently from the legacy full sum by a few ulps; the
-  // equivalence suites pin SELECTIONS (not EV bit patterns) across the
-  // paths.  Requires every term width <= kFlatCacheBits (fast_ev_ok_).
+  // rounds differently from a full left-to-right term sum by a few ulps.
+  // Requires every term width <= kFlatCacheBits (fast_ev_ok_); wider
+  // evaluators take the generic full loop in EV().
   double EVFast(const std::vector<int>& cleaned) const;
   void InitFastEv() const;
   // Mask-keyed term access backing EVFast: flat-cache lookup, computing
-  // through the planes path on a miss (member flags are materialized in
+  // the term on a miss (member flags are materialized in
   // cleaned_scratch_ and restored to all-false).
   double EVarTermMask(int k, std::uint32_t mask) const;
   double ECovTermMask(int pair_idx, std::uint32_t mask) const;
@@ -260,10 +217,10 @@ class ClaimEvEvaluator {
   mutable std::vector<std::vector<int>> object_pairs_;
 
   // Memoization: term value keyed by the cleaned-subset bitmask over the
-  // term's member objects.  The planes path uses a lazily-allocated flat
-  // array per term (mask-indexed, branch-light) when the term is narrow
-  // enough; both paths fall back to the hash map below it (terms with
-  // <= 30 members) and to uncached recomputation beyond that.
+  // term's member objects.  Narrow terms use a lazily-allocated flat array
+  // per term (mask-indexed, branch-light); wider ones fall back to the
+  // hash map below it (terms with <= 30 members) and to uncached
+  // recomputation beyond that.
   struct FlatTermCache {
     std::vector<double> value;            // 1 << members entries
     std::vector<std::uint64_t> present;   // bitmap over the masks
@@ -273,16 +230,21 @@ class ClaimEvEvaluator {
   // (the caller fills the slot when it did not).
   static double* FlatSlot(FlatTermCache& cache, int width, std::uint32_t mask,
                           bool* found);
+  using HashTermCache = std::unordered_map<std::uint32_t, double>;
+  // The lookup shared by EVarTerm and ECovTerm: the flat tier for narrow
+  // terms, else the hash tier; `compute` fills a miss.
+  template <typename Compute>
+  static double Memoized(FlatTermCache& flat, HashTermCache& hash, int width,
+                         std::uint32_t mask, Compute&& compute);
   std::vector<std::vector<int>> pair_members_;  // sorted union refs per pair
-  mutable std::vector<std::unordered_map<uint32_t, double>> evar_cache_;
-  mutable std::vector<std::unordered_map<uint32_t, double>> ecov_cache_;
+  mutable std::vector<HashTermCache> evar_cache_;
+  mutable std::vector<HashTermCache> ecov_cache_;
   mutable std::vector<FlatTermCache> evar_flat_cache_;
   mutable std::vector<FlatTermCache> ecov_flat_cache_;
 
-  // SoA data path state: the problem's shared planes plus per-evaluator
+  // Data path state: the problem's shared planes plus per-evaluator
   // kernel workspaces and flat-term scratch (reused across calls — the
   // evaluator is single-threaded by contract, see MakeIncremental).
-  bool use_planes_;
   // Shared ownership pins the arena across problem mutations (the old
   // snapshot never dangles); RefreshIfStale re-acquires the problem's
   // current snapshot whenever a distribution changed.

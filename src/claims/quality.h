@@ -13,10 +13,12 @@
 #ifndef FACTCHECK_CLAIMS_QUALITY_H_
 #define FACTCHECK_CLAIMS_QUALITY_H_
 
+#include <algorithm>
 #include <memory>
 
 #include "claims/perturbation.h"
 #include "core/query_function.h"
+#include "util/check.h"
 
 namespace factcheck {
 
@@ -47,6 +49,67 @@ double QualityTransform(QualityMeasure measure, double q, double reference,
                         double sensibility,
                         StrengthDirection direction =
                             StrengthDirection::kHigherIsStronger);
+
+// Compile-time dispatch of QualityTransform: selects the (measure,
+// direction) branch once per term and hands `fn` a factory `make_g` that
+// builds the per-claim transform closure from its sensibility.  Each
+// closure performs exactly QualityTransform's arithmetic in the same
+// order, so it returns bit-identical values while staying inlinable inside
+// the dist/kernels.h reduction loops.
+template <typename Fn>
+void DispatchQualityTransform(QualityMeasure measure,
+                              StrengthDirection direction, double reference,
+                              Fn&& fn) {
+  const bool higher = direction == StrengthDirection::kHigherIsStronger;
+  switch (measure) {
+    case QualityMeasure::kBias:
+      if (higher) {
+        fn([reference](double s) {
+          return [s, reference](double q) { return s * (q - reference); };
+        });
+      } else {
+        fn([reference](double s) {
+          return [s, reference](double q) { return s * (reference - q); };
+        });
+      }
+      return;
+    case QualityMeasure::kDuplicity:
+      if (higher) {
+        fn([reference](double s) {
+          (void)s;
+          return [reference](double q) {
+            return q - reference >= 0.0 ? 1.0 : 0.0;
+          };
+        });
+      } else {
+        fn([reference](double s) {
+          (void)s;
+          return [reference](double q) {
+            return reference - q >= 0.0 ? 1.0 : 0.0;
+          };
+        });
+      }
+      return;
+    case QualityMeasure::kFragility:
+      if (higher) {
+        fn([reference](double s) {
+          return [s, reference](double q) {
+            double neg = std::min(q - reference, 0.0);
+            return s * neg * neg;
+          };
+        });
+      } else {
+        fn([reference](double s) {
+          return [s, reference](double q) {
+            double neg = std::min(reference - q, 0.0);
+            return s * neg * neg;
+          };
+        });
+      }
+      return;
+  }
+  FC_CHECK(false);
+}
 
 // Query function f(X) for a quality measure of the given claim context.
 // `reference` is q*(u), the original claim evaluated on the current values.

@@ -269,13 +269,6 @@ QualityMoments RatioEvEvaluator::Moments() const {
   return moments;
 }
 
-Selection RatioEvEvaluator::GreedyMinVar(double budget) const {
-  return AdaptiveGreedyMinimize(
-      problem_->Costs(), budget, [&](const std::vector<int>& t) {
-        return EV(t);
-      });
-}
-
 // The engine-pluggable face of the ratio evaluator: the committed set
 // lives here (flags + cached per-claim term values), a probe touches only
 // the single claim referencing the probed object (disjointness), and

@@ -21,7 +21,6 @@
 #include <unordered_map>
 
 #include "claims/quality.h"
-#include "core/greedy.h"
 #include "core/incremental.h"
 #include "core/problem.h"
 
@@ -83,19 +82,16 @@ class RatioEvEvaluator {
   double PriorVariance() const { return EV({}); }
   QualityMoments Moments() const;
 
-  // Adaptive greedy (Algorithm 1) with per-claim benefit locality.
-  Selection GreedyMinVar(double budget) const;
-
   // The per-claim benefit locality packaged as an engine-pluggable
   // IncrementalObjective: disjoint references mean cleaning object i
   // moves exactly one claim's term, so ProbeGain(i) recomputes at most
   // one 2-D convolution term instead of the full EV sum — ratio
   // workloads stop paying batch cost per probe.  Value() re-sums the
   // cached terms in EV's claim order, so it is bit-equal to the batch EV
-  // of the same set (the bespoke GreedyMinVar and the engine's
-  // incremental greedy select identical sets).  Shares this evaluator's
-  // memoized term caches (not locked — single-threaded by contract); the
-  // evaluator must outlive the returned objective.
+  // of the same set (AdaptiveGreedyMinimize selects identical sets with
+  // and without it).  Shares this evaluator's memoized term caches (not
+  // locked — single-threaded by contract); the evaluator must outlive the
+  // returned objective.
   std::unique_ptr<IncrementalObjective> MakeIncremental() const;
 
   // Epoch resynchronization with the underlying problem (see

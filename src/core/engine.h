@@ -123,8 +123,7 @@ struct EngineStats {
   // SoA convolution-kernel work (dist/kernels.h): number of flat-kernel
   // invocations and atoms written by them.  Deterministic and
   // machine-independent, so the bench baselines gate on them; zero on
-  // paths that never touch the kernels (e.g. the legacy AoS evaluator,
-  // knapsack algorithms).
+  // paths that never touch the kernels (e.g. knapsack algorithms).
   std::int64_t kernel_calls = 0;
   std::int64_t kernel_atoms = 0;
   // Memo entries evicted by the epoch downdating of a bound engine (see

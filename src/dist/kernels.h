@@ -15,8 +15,9 @@
 //   * canonicalization (sort by value, merge exact equals) uses the same
 //     comparator on the same input sequence as the legacy Canonicalize,
 //     so atom order and merged probability sums match exactly.
-// tests/kernels_test.cc pins each kernel against a frozen copy of the
-// legacy loop on randomized supports.
+// tests/kernels_test.cc pins the convolution kernels against frozen
+// copies of the legacy loops, and the reductions against naive per-atom
+// loops, on randomized supports.
 //
 // Adding a kernel: take restrict-qualified const double* planes plus an
 // explicit count, accumulate in a fixed order, bump the caller's

@@ -799,10 +799,8 @@ Workload BuildReplanScaling(const WorkloadOptions& options) {
 // sliding-window fragility claims (width 6, stride 2) on URx, so every
 // greedy step drives both the 1-D per-claim and the 2-D per-pair
 // convolution kernels (the stride makes every claim overlap its four
-// neighbours).  Two algorithm columns — claims_greedy_minvar on the SoA
-// planes path and claims_greedy_minvar_aos pinned to the legacy AoS path
-// — let the checked-in baseline record both sides of the kernel speedup
-// and CI diff the deterministic kernel counters.
+// neighbours).  The checked-in baseline records claims_greedy_minvar's
+// deterministic kernel counters for CI to diff.
 Workload BuildDistKernels(const WorkloadOptions& options) {
   int size = SizeOrDefault(options, 48);
   auto problem = std::make_shared<const CleaningProblem>(data::MakeSynthetic(
@@ -825,7 +823,7 @@ Workload BuildDistKernels(const WorkloadOptions& options) {
   Workload w = MakeClaimsWorkload("dist_kernels", problem, context_ptr,
                                   QualityMeasure::kFragility, gamma,
                                   StrengthDirection::kHigherIsStronger);
-  w.default_algorithms = {"claims_greedy_minvar", "claims_greedy_minvar_aos"};
+  w.default_algorithms = {"claims_greedy_minvar"};
   w.default_budget_fractions = {0.15, 0.30};
   return w;
 }
@@ -1002,7 +1000,14 @@ Workload BuildRatioWorkload(const std::string& name,
        .run = [problem, context, claimed](const PlanContext& ctx) {
          RatioEvEvaluator fresh(problem.get(), context.get(),
                                 QualityMeasure::kDuplicity, claimed);
-         return fresh.GreedyMinVar(ctx.request.budget);
+         std::unique_ptr<IncrementalObjective> incremental =
+             fresh.MakeIncremental();
+         GreedyOptions options = ctx.greedy;
+         options.incremental = incremental.get();
+         return AdaptiveGreedyMinimize(
+             ctx.costs, ctx.request.budget,
+             [&fresh](const std::vector<int>& t) { return fresh.EV(t); },
+             options);
        }});
   return w;
 }
@@ -1115,20 +1120,6 @@ Workload MakeClaimsWorkload(std::string name,
                direction](const PlanContext& ctx) {
          ClaimEvEvaluator fresh(problem.get(), context.get(), measure,
                                 reference, direction);
-         return fresh.GreedyMinVar(ctx.request.budget, ctx.greedy);
-       }});
-  // The same greedy pinned to the legacy AoS data path: the bit-identity
-  // oracle for the SoA kernels and the "before" column of the planes
-  // speedup (its kernel counters are identically zero).
-  w.EnsureLocalRegistry().Register(
-      {.name = "claims_greedy_minvar_aos",
-       .summary = "Theorem-3.8 greedy on the legacy AoS path (planes off)",
-       .objective = ObjectiveKind::kMinVar,
-       .run = [problem, context, measure, reference,
-               direction](const PlanContext& ctx) {
-         ClaimEvEvaluator fresh(problem.get(), context.get(), measure,
-                                reference, direction,
-                                /*use_planes=*/false);
          return fresh.GreedyMinVar(ctx.request.budget, ctx.greedy);
        }});
   return w;
@@ -1245,7 +1236,7 @@ void RegisterBuiltinWorkloads(WorkloadRegistry& registry) {
        .summary = "Perf gate: incremental vs batch engine greedy (--size)",
        .build = BuildEngineScaling});
   add({.name = "dist_kernels",
-       .summary = "Perf gate: SoA kernels vs AoS on overlapping claims",
+       .summary = "Perf gate: SoA kernel counters on overlapping claims",
        .build = BuildDistKernels});
   add({.name = "service_scaling",
        .summary = "Serving gate: concurrent clients on one warm engine",

@@ -36,13 +36,15 @@ Instance MakeDisjoint(uint64_t seed, int n = 12, int width = 3) {
 }
 
 class EvFastAgreementTest
-    : public ::testing::TestWithParam<std::tuple<int, QualityMeasure>> {};
+    : public ::testing::TestWithParam<
+          std::tuple<int, QualityMeasure, StrengthDirection>> {};
 
 TEST_P(EvFastAgreementTest, MatchesBruteForceEnumerationOverlapping) {
-  auto [seed, measure] = GetParam();
+  auto [seed, measure, direction] = GetParam();
   Instance s = MakeOverlapping(seed);
-  ClaimEvEvaluator fast(&s.problem, &s.context, measure, s.reference);
-  ClaimQualityFunction f(&s.context, measure, s.reference);
+  ClaimEvEvaluator fast(&s.problem, &s.context, measure, s.reference,
+                        direction);
+  ClaimQualityFunction f(&s.context, measure, s.reference, direction);
   Rng rng(seed);
   // Check EV on several random cleaned sets, plus the extremes.
   std::vector<std::vector<int>> sets = {{}, {0, 1, 2, 3, 4, 5, 6, 7, 8}};
@@ -59,11 +61,12 @@ TEST_P(EvFastAgreementTest, MatchesBruteForceEnumerationOverlapping) {
 }
 
 TEST_P(EvFastAgreementTest, MatchesBruteForceEnumerationDisjoint) {
-  auto [seed, measure] = GetParam();
+  auto [seed, measure, direction] = GetParam();
   Instance s = MakeDisjoint(seed);
-  ClaimEvEvaluator fast(&s.problem, &s.context, measure, s.reference);
+  ClaimEvEvaluator fast(&s.problem, &s.context, measure, s.reference,
+                        direction);
   EXPECT_EQ(fast.num_overlapping_pairs(), 0);
-  ClaimQualityFunction f(&s.context, measure, s.reference);
+  ClaimQualityFunction f(&s.context, measure, s.reference, direction);
   Rng rng(seed + 99);
   for (int t = 0; t < 4; ++t) {
     int k = rng.UniformInt(0, 6);
@@ -73,12 +76,27 @@ TEST_P(EvFastAgreementTest, MatchesBruteForceEnumerationDisjoint) {
   }
 }
 
+TEST_P(EvFastAgreementTest, MomentsMatchEnumeration) {
+  auto [seed, measure, direction] = GetParam();
+  Instance s = MakeOverlapping(seed);
+  ClaimEvEvaluator fast(&s.problem, &s.context, measure, s.reference,
+                        direction);
+  ClaimQualityFunction f(&s.context, measure, s.reference, direction);
+  QualityMoments moments = fast.Moments();
+  EXPECT_NEAR(moments.mean, ExpectedValue(f, s.problem),
+              1e-7 * (1 + std::abs(moments.mean)));
+  EXPECT_NEAR(moments.variance, PriorVariance(f, s.problem),
+              1e-7 * (1 + moments.variance));
+}
+
 INSTANTIATE_TEST_SUITE_P(
-    SeedsAndMeasures, EvFastAgreementTest,
+    SeedsMeasuresDirections, EvFastAgreementTest,
     ::testing::Combine(::testing::Values(1, 2, 3, 4, 5),
                        ::testing::Values(QualityMeasure::kBias,
                                          QualityMeasure::kDuplicity,
-                                         QualityMeasure::kFragility)));
+                                         QualityMeasure::kFragility),
+                       ::testing::Values(StrengthDirection::kHigherIsStronger,
+                                         StrengthDirection::kLowerIsStronger)));
 
 TEST(EvFastTest, OverlappingPairsDetected) {
   Instance s = MakeOverlapping(3);
@@ -95,21 +113,6 @@ TEST(EvFastTest, DisjointClaimsHaveDegreeOne) {
                         s.reference);
   EXPECT_EQ(fast.num_overlapping_pairs(), 0);
   EXPECT_EQ(fast.MaxClaimDegree(), 1);
-}
-
-TEST(EvFastTest, MomentsMatchEnumeration) {
-  Instance s = MakeOverlapping(7);
-  for (QualityMeasure measure :
-       {QualityMeasure::kBias, QualityMeasure::kDuplicity,
-        QualityMeasure::kFragility}) {
-    ClaimEvEvaluator fast(&s.problem, &s.context, measure, s.reference);
-    ClaimQualityFunction f(&s.context, measure, s.reference);
-    QualityMoments moments = fast.Moments();
-    EXPECT_NEAR(moments.mean, ExpectedValue(f, s.problem),
-                1e-7 * (1 + std::abs(moments.mean)));
-    EXPECT_NEAR(moments.variance, PriorVariance(f, s.problem),
-                1e-7 * (1 + moments.variance));
-  }
 }
 
 TEST(EvFastTest, MomentsAfterCleaningReflectPointMasses) {
@@ -168,24 +171,17 @@ TEST(EvFastTest, FullBudgetDrivesEvToZero) {
 }
 
 // The stale-EVFast-base bugfix: after ReplaceDistribution the sparse base
-// terms are recomputed on the next call, and the SoA planes path agrees
-// bit-for-bit with the legacy AoS oracle path on the mutated problem.
-TEST(EvFastTest, PlanesOnAndOffAgreeAfterMutation) {
+// terms are recomputed on the next call, so an evaluator that was warm
+// before the mutation answers bit-for-bit like one built on the mutated
+// problem.
+TEST(EvFastTest, LiveEvaluatorMatchesFreshAfterMutation) {
   for (uint64_t seed : {2u, 8u}) {
     Instance s = MakeOverlapping(seed);
-    ClaimEvEvaluator planes(&s.problem, &s.context, QualityMeasure::kDuplicity,
-                            s.reference, StrengthDirection::kHigherIsStronger,
-                            /*use_planes=*/true);
-    ClaimEvEvaluator legacy(&s.problem, &s.context, QualityMeasure::kDuplicity,
-                            s.reference, StrengthDirection::kHigherIsStronger,
-                            /*use_planes=*/false);
+    ClaimEvEvaluator live(&s.problem, &s.context, QualityMeasure::kDuplicity,
+                          s.reference);
     std::vector<std::vector<int>> sets = {{}, {0, 4}, {1, 2, 7}, {3, 5, 6, 8}};
-    // Warm both paths' caches on the pre-mutation state.  The paths agree
-    // to rounding, not bit pattern: planes aggregates EV as base+delta.
-    for (const auto& cleaned : sets) {
-      double expect = legacy.EV(cleaned);
-      EXPECT_NEAR(planes.EV(cleaned), expect, 1e-9 * (1.0 + std::abs(expect)));
-    }
+    // Warm the term caches and the EVFast bases on the pre-mutation state.
+    for (const auto& cleaned : sets) live.EV(cleaned);
 
     // Mutate through the delta path: a support change on a claim-shared
     // object, a Clean (dist + value), and a cost change (no-op for EV).
@@ -198,20 +194,33 @@ TEST(EvFastTest, PlanesOnAndOffAgreeAfterMutation) {
     ClaimEvEvaluator fresh(&s.problem, &s.context, QualityMeasure::kDuplicity,
                            s.reference);
     for (const auto& cleaned : sets) {
-      const double want = fresh.EV(cleaned);
-      EXPECT_NEAR(planes.EV(cleaned), want, 1e-9 * (1.0 + std::abs(want)))
-          << "seed " << seed;
-      EXPECT_NEAR(legacy.EV(cleaned), want, 1e-9 * (1.0 + std::abs(want)))
+      EXPECT_EQ(live.EV(cleaned), fresh.EV(cleaned))  // bit-exact
           << "seed " << seed;
     }
+    const QualityMoments live_moments = live.Moments();
+    const QualityMoments fresh_moments = fresh.Moments();
+    EXPECT_EQ(live_moments.mean, fresh_moments.mean);
+    EXPECT_EQ(live_moments.variance, fresh_moments.variance);
     const double budget = s.problem.TotalCost() * 0.4;
-    Selection from_planes = planes.GreedyMinVar(budget);
-    Selection from_legacy = legacy.GreedyMinVar(budget);
+    Selection from_live = live.GreedyMinVar(budget);
     Selection from_fresh = fresh.GreedyMinVar(budget);
-    EXPECT_EQ(from_planes.cleaned, from_fresh.cleaned);
-    EXPECT_EQ(from_legacy.cleaned, from_fresh.cleaned);
-    EXPECT_EQ(from_planes.order, from_fresh.order);
+    EXPECT_EQ(from_live.cleaned, from_fresh.cleaned);
+    EXPECT_EQ(from_live.order, from_fresh.order);
   }
+}
+
+// An object appended by a delta is visible to the incidence lookup before
+// any evaluation has resynchronized the evaluator.
+TEST(EvFastTest, NumClaimsReferencingSeesAddedObject) {
+  Instance s = MakeOverlapping(4);
+  ClaimEvEvaluator fast(&s.problem, &s.context, QualityMeasure::kDuplicity,
+                        s.reference);
+  UncertainObject object;
+  object.label = "tail";
+  object.current_value = 3.0;
+  object.dist = DiscreteDistribution({2.0, 4.0}, {0.5, 0.5});
+  s.problem.Apply(ProblemDelta::AddObject(object));
+  EXPECT_EQ(fast.NumClaimsReferencing(s.problem.size() - 1), 0);
 }
 
 TEST(EvFastTest, PointMassObjectsContributeNothing) {

@@ -53,7 +53,7 @@ TEST(WorkloadRegistry, GoldenListWorkloads) {
       "CDC-firearms\n"
       "degraded_scaling           Robustness gate: faults, deadlines, "
       "shedding on a live server\n"
-      "dist_kernels               Perf gate: SoA kernels vs AoS on "
+      "dist_kernels               Perf gate: SoA kernel counters on "
       "overlapping claims\n"
       "engine_scaling             Perf gate: incremental vs batch engine "
       "greedy (--size)\n"

@@ -2,9 +2,9 @@
 // dist/kernels.h): every flat kernel must reproduce a FROZEN copy of the
 // legacy AoS loop bit-for-bit — same atoms, same order, same accumulated
 // doubles — across randomized supports (point masses, zero coefficients,
-// colliding values).  On top of the kernel pins, the claim evaluator and
-// the full Planner catalogue must select identically with the planes
-// path on and off, so the SoA rewiring can never change a figure.
+// colliding values).  The transform reductions the claim evaluator runs
+// are pinned against naive per-atom loops over QualityTransform for every
+// measure and direction.
 
 #include <gtest/gtest.h>
 
@@ -17,12 +17,11 @@
 
 #include "claims/ev_fast.h"
 #include "claims/perturbation.h"
-#include "core/planner.h"
+#include "claims/quality.h"
 #include "data/synthetic.h"
 #include "dist/convolution.h"
 #include "dist/kernels.h"
 #include "dist/planes.h"
-#include "exp/workload_registry.h"
 #include "util/random.h"
 
 namespace factcheck {
@@ -337,128 +336,74 @@ TEST(KernelReductionTest, ReductionsMatchNaiveLoopsBitwise) {
       EXPECT_EQ(Bits(MassAtOrBelow(v, p, n, x)), Bits(at_or_below));
       EXPECT_EQ(Bits(d.CdfAtOrBelow(x)), Bits(at_or_below));
     }
-  }
-}
 
-// --- Claim evaluator: planes on vs off -------------------------------------
-
-TEST(KernelEvaluatorTest, PlanesPathBitIdenticalToAoSPath) {
-  // Overlapping windows: shared objects between claims, so the 2-D pair
-  // kernels (ECovTerm) run alongside the 1-D EVarTerm path.
-  CleaningProblem problem = data::MakeSynthetic(
-      data::SyntheticFamily::kUniformRandom, 7, {.size = 24});
-  PerturbationSet context = SlidingWindowSumPerturbations(24, 4, 0, 1.5);
-  const std::vector<std::vector<int>> cleaned_sets = {
-      {}, {0}, {23}, {1, 5, 9, 13}, {0, 1, 2, 3, 4, 5, 6, 7},
-      {0, 3, 6, 9, 12, 15, 18, 21}};
-  for (QualityMeasure measure : {QualityMeasure::kBias,
-                                 QualityMeasure::kDuplicity,
-                                 QualityMeasure::kFragility}) {
-    for (StrengthDirection direction :
-         {StrengthDirection::kHigherIsStronger,
-          StrengthDirection::kLowerIsStronger}) {
-      SCOPED_TRACE("measure=" + std::to_string(static_cast<int>(measure)) +
-                   " dir=" + std::to_string(static_cast<int>(direction)));
-      ClaimEvEvaluator aos(&problem, &context, measure, 120.0, direction,
-                           /*use_planes=*/false);
-      ClaimEvEvaluator soa(&problem, &context, measure, 120.0, direction,
-                           /*use_planes=*/true);
-      ASSERT_FALSE(aos.planes_enabled());
-      ASSERT_TRUE(soa.planes_enabled());
-      // Term values are bit-identical across the paths (pinned through
-      // Moments and GreedyMinVar below); EV itself aggregates base+delta
-      // on the planes path, so it agrees to rounding, not bit pattern.
-      for (const std::vector<int>& cleaned : cleaned_sets) {
-        double expect = aos.EV(cleaned);
-        EXPECT_NEAR(soa.EV(cleaned), expect,
-                    1e-9 * (1.0 + std::abs(expect)));
+    // The transform reductions, driven by DispatchQualityTransform's
+    // closures exactly as the claim evaluator drives them, against naive
+    // per-atom loops over QualityTransform.  `d2` plays the cleaned side
+    // of the cross product.  Even trials shift by an integer, so with the
+    // integer supports and reference duplicity's Delta >= 0 boundary is
+    // hit exactly; odd trials shift by a fraction.
+    DiscreteDistribution d2 = RandomDist(rng);
+    const double* v2 = d2.values().data();
+    const double* p2 = d2.probs().data();
+    const int n2 = d2.support_size();
+    const double shift = trial % 2 == 0 ? rng.UniformInt(-2, 2)
+                                        : rng.Uniform(-2.0, 2.0);
+    const double reference = rng.UniformInt(-3, 3);
+    const double sensibility = rng.Uniform(0.1, 2.0);
+    for (QualityMeasure measure : {QualityMeasure::kBias,
+                                   QualityMeasure::kDuplicity,
+                                   QualityMeasure::kFragility}) {
+      for (StrengthDirection direction :
+           {StrengthDirection::kHigherIsStronger,
+            StrengthDirection::kLowerIsStronger}) {
+        SCOPED_TRACE("measure=" + std::to_string(static_cast<int>(measure)) +
+                     " dir=" + std::to_string(static_cast<int>(direction)));
+        auto naive_g = [&](double q) {
+          return QualityTransform(measure, q, reference, sensibility,
+                                  direction);
+        };
+        double m1 = 0.0, m2 = 0.0, sum = 0.0;
+        for (int k = 0; k < n; ++k) {
+          double gv = naive_g(shift + v[k]);
+          m1 += p[k] * gv;
+          m2 += p[k] * gv * gv;
+          sum += p[k] * naive_g(shift + v[k]);
+        }
+        double cross = 0.0;
+        for (int c = 0; c < n2; ++c) {
+          for (int k = 0; k < n; ++k) {
+            cross += p2[c] * p[k] * naive_g(shift + v2[c] + v[k]);
+          }
+        }
+        DispatchQualityTransform(
+            measure, direction, reference, [&](auto make_g) {
+              auto g = make_g(sensibility);
+              double k1 = 0.0, k2 = 0.0;
+              TransformedMoments(v, p, n, shift, g, &k1, &k2);
+              EXPECT_EQ(Bits(k1), Bits(m1));
+              EXPECT_EQ(Bits(k2), Bits(m2));
+              EXPECT_EQ(Bits(TransformedSum(v, p, n, shift, g)), Bits(sum));
+              EXPECT_EQ(Bits(CrossTransformedSum(v2, p2, n2, v, p, n, shift,
+                                                 g)),
+                        Bits(cross));
+            });
       }
-      QualityMoments aos_m = aos.Moments();
-      QualityMoments soa_m = soa.Moments();
-      EXPECT_EQ(Bits(aos_m.mean), Bits(soa_m.mean));
-      EXPECT_EQ(Bits(aos_m.variance), Bits(soa_m.variance));
-      Selection aos_sel = aos.GreedyMinVar(0.4 * problem.TotalCost());
-      Selection soa_sel = soa.GreedyMinVar(0.4 * problem.TotalCost());
-      EXPECT_EQ(aos_sel.cleaned, soa_sel.cleaned);
-      EXPECT_EQ(aos_sel.order, soa_sel.order);
-      EXPECT_EQ(Bits(aos_sel.cost), Bits(soa_sel.cost));
     }
   }
 }
 
-TEST(KernelEvaluatorTest, CountersTrackPlanesWorkOnly) {
+// --- Claim evaluator kernel counters --------------------------------------
+
+TEST(KernelEvaluatorTest, CountersTrackPlanesWork) {
   CleaningProblem problem = data::MakeSynthetic(
       data::SyntheticFamily::kUniformRandom, 7, {.size = 24});
   PerturbationSet context = SlidingWindowSumPerturbations(24, 4, 0, 1.5);
-  ClaimEvEvaluator aos(&problem, &context, QualityMeasure::kDuplicity, 120.0,
-                       StrengthDirection::kHigherIsStronger,
-                       /*use_planes=*/false);
-  ClaimEvEvaluator soa(&problem, &context, QualityMeasure::kDuplicity, 120.0,
-                       StrengthDirection::kHigherIsStronger,
-                       /*use_planes=*/true);
-  aos.EV({1, 5, 9, 13});
-  soa.EV({1, 5, 9, 13});
-  EXPECT_EQ(aos.kernel_counters().calls, 0);
-  EXPECT_EQ(aos.kernel_counters().atoms, 0);
-  EXPECT_GT(soa.kernel_counters().calls, 0);
-  EXPECT_GT(soa.kernel_counters().atoms, 0);
-}
-
-// --- Full Planner catalogue: planes toggle cannot change a selection --------
-
-// Restores the process-wide default on every exit path so later suites in
-// this binary see the shipped configuration.
-struct PlanesGuard {
-  ~PlanesGuard() { ClaimEvEvaluator::SetPlanesEnabledForTest(true); }
-};
-
-TEST(KernelWorkloadSweep, AllRegisteredWorkloadsSelectIdenticallyPlanesOnOff) {
-  using exp::Workload;
-  using exp::WorkloadOptions;
-  using exp::WorkloadRegistry;
-  PlanesGuard guard;
-  int covered = 0;
-  for (const auto* entry : WorkloadRegistry::Global().Sorted()) {
-    SCOPED_TRACE(entry->name);
-    WorkloadOptions options;
-    options.size = 48;  // keep the synthetic families test-sized
-
-    ClaimEvEvaluator::SetPlanesEnabledForTest(false);
-    Workload aos_w = entry->build(options);
-    aos_w.name = entry->name;
-    if (aos_w.objective != ObjectiveKind::kMinVar ||
-        aos_w.metric == nullptr) {
-      continue;
-    }
-    ++covered;
-    PlanRequest aos_request = aos_w.MakeRequest(0.3 * aos_w.TotalCost());
-    aos_request.with_trajectory = true;
-    PlanResult aos = Planner(aos_w.registry()).Plan(aos_request,
-                                                    "greedy_minvar");
-
-    ClaimEvEvaluator::SetPlanesEnabledForTest(true);
-    Workload soa_w = entry->build(options);
-    soa_w.name = entry->name;
-    PlanRequest soa_request = soa_w.MakeRequest(0.3 * soa_w.TotalCost());
-    soa_request.with_trajectory = true;
-    PlanResult soa = Planner(soa_w.registry()).Plan(soa_request,
-                                                    "greedy_minvar");
-
-    EXPECT_EQ(aos.selection.cleaned, soa.selection.cleaned);
-    EXPECT_EQ(aos.selection.order, soa.selection.order);
-    EXPECT_EQ(Bits(aos.selection.cost), Bits(soa.selection.cost));
-    // The trajectory goes through the workload metric, where the planes
-    // path aggregates EV as base+delta: equal to rounding, not bits.
-    ASSERT_EQ(aos.trajectory.size(), soa.trajectory.size());
-    for (size_t k = 0; k < aos.trajectory.size(); ++k) {
-      EXPECT_NEAR(soa.trajectory[k], aos.trajectory[k],
-                  1e-9 * (1.0 + std::abs(aos.trajectory[k])))
-          << "round " << k;
-    }
-  }
-  // The sweep must actually cover the catalogue (claims, fairness,
-  // dependency, engine-gate and kernel-gate workloads are all kMinVar).
-  EXPECT_GE(covered, 10);
+  ClaimEvEvaluator evaluator(&problem, &context, QualityMeasure::kDuplicity,
+                             120.0);
+  evaluator.EV({1, 5, 9, 13});
+  EXPECT_GT(evaluator.kernel_counters().calls, 0);
+  EXPECT_GT(evaluator.kernel_counters().atoms, 0);
 }
 
 // --- Guard rails ------------------------------------------------------------

@@ -6,12 +6,22 @@
 #include "core/delta.h"
 #include "core/engine.h"
 #include "core/ev.h"
+#include "core/greedy.h"
 #include "core/incremental.h"
 #include "data/synthetic.h"
 #include "util/random.h"
 
 namespace factcheck {
 namespace {
+
+// Algorithm 1 over the evaluator's batch EV: the reference selection the
+// incremental paths must reproduce.
+Selection BatchGreedy(const RatioEvEvaluator& evaluator,
+                      const CleaningProblem& problem, double budget) {
+  return AdaptiveGreedyMinimize(
+      problem.Costs(), budget,
+      [&](const std::vector<int>& cleaned) { return evaluator.EV(cleaned); });
+}
 
 TEST(RatioClaimTest, EvaluatesPercentageChange) {
   RatioClaim claim = MakeRatioComparisonClaim(0, 2, 2);
@@ -106,7 +116,7 @@ TEST(RatioEvEvaluatorTest, GreedyReducesUncertainty) {
   RatioEvEvaluator fast(&p, &context, QualityMeasure::kFragility, 0.2);
   double prior = fast.PriorVariance();
   if (prior < 1e-12) return;
-  Selection sel = fast.GreedyMinVar(p.TotalCost() * 0.3);
+  Selection sel = BatchGreedy(fast, p, p.TotalCost() * 0.3);
   EXPECT_LT(fast.EV(sel.cleaned), prior);
   EXPECT_LE(sel.cost, p.TotalCost() * 0.3);
 }
@@ -125,9 +135,8 @@ TEST(RatioEvEvaluatorDeathTest, OverlappingPerturbationsAbort) {
 }
 
 // The engine's incremental greedy driven through MakeIncremental must
-// select bit-identically to the bespoke GreedyMinVar — the satellite that
-// ported RatioEvEvaluator onto the IncrementalObjective protocol.
-TEST(RatioEvEvaluatorTest, EngineIncrementalMatchesBespokeGreedy) {
+// select bit-identically to Algorithm 1 over the batch EV.
+TEST(RatioEvEvaluatorTest, EngineIncrementalMatchesBatchGreedy) {
   for (uint64_t seed : {3u, 21u, 77u}) {
     CleaningProblem p = data::MakeSynthetic(
         data::SyntheticFamily::kUniformRandom, seed,
@@ -138,7 +147,7 @@ TEST(RatioEvEvaluatorTest, EngineIncrementalMatchesBespokeGreedy) {
          {QualityMeasure::kBias, QualityMeasure::kDuplicity}) {
       RatioEvEvaluator evaluator(&p, &context, measure, 0.1);
       const double budget = p.TotalCost() * 0.3;
-      Selection bespoke = evaluator.GreedyMinVar(budget);
+      Selection batch = BatchGreedy(evaluator, p, budget);
 
       EvalEngine engine(
           [&](const std::vector<int>& cleaned) { return evaluator.EV(cleaned); },
@@ -149,10 +158,10 @@ TEST(RatioEvEvaluatorTest, EngineIncrementalMatchesBespokeGreedy) {
       options.incremental = incremental.get();
       Selection engine_sel = engine.PlainGreedy(p.Costs(), budget, options);
 
-      EXPECT_EQ(engine_sel.cleaned, bespoke.cleaned)
+      EXPECT_EQ(engine_sel.cleaned, batch.cleaned)
           << "seed " << seed << " measure " << static_cast<int>(measure);
-      EXPECT_EQ(engine_sel.order, bespoke.order);
-      EXPECT_EQ(engine_sel.cost, bespoke.cost);  // bit-exact
+      EXPECT_EQ(engine_sel.order, batch.order);
+      EXPECT_EQ(engine_sel.cost, batch.cost);  // bit-exact
       // The incremental protocol actually ran: probes, not batch sweeps.
       EXPECT_GT(engine.stats().probes, 0);
       EXPECT_EQ(engine.stats().commits,
@@ -187,8 +196,8 @@ TEST(RatioEvEvaluatorTest, RefreshAfterMutationMatchesFreshEvaluator) {
     EXPECT_EQ(live.EV(cleaned), fresh.EV(cleaned))  // bit-exact
         << "cleaned set size " << cleaned.size();
   }
-  Selection warm = live.GreedyMinVar(p.TotalCost() * 0.3);
-  Selection cold = fresh.GreedyMinVar(p.TotalCost() * 0.3);
+  Selection warm = BatchGreedy(live, p, p.TotalCost() * 0.3);
+  Selection cold = BatchGreedy(fresh, p, p.TotalCost() * 0.3);
   EXPECT_EQ(warm.cleaned, cold.cleaned);
   EXPECT_EQ(warm.order, cold.order);
 }
