@@ -61,16 +61,27 @@ BENCHMARK(BM_ClaimEvOverlapping);
 
 void BM_DistKernelsConvolve(benchmark::State& state) {
   // The raw SoA flat-kernel convolution over shared planes (the
-  // dist_kernels workload's innermost loop); arg = number of terms.
-  int terms = static_cast<int>(state.range(0));
+  // dist_kernels workload's innermost loop).  Args: number of terms, atoms
+  // per term, and ties: 0 draws URx supports (few colliding sums), 1 uses
+  // the integer support {0, ..., atoms-1} so most sums tie and merge.
+  // The wide supports (16 and 64 atoms) give each merge 16-64 runs.
+  const int terms = static_cast<int>(state.range(0));
+  const int atoms = static_cast<int>(state.range(1));
+  const bool ties = state.range(2) != 0;
   CleaningProblem problem = data::MakeSynthetic(
       data::SyntheticFamily::kUniformRandom, 7,
-      {.size = 16, .min_support = 4, .max_support = 4});
+      {.size = 16, .min_support = atoms, .max_support = atoms});
   const DistPlanes& planes = problem.planes();
+  std::vector<double> integers(atoms), uniform(atoms, 1.0 / atoms);
+  for (int k = 0; k < atoms; ++k) integers[k] = k;
   std::vector<FlatTerm> flat;
   for (int i = 0; i < terms; ++i) {
-    flat.push_back({planes.values(i), planes.probs(i),
-                    planes.support_size(i), 1.0 + 0.1 * i});
+    if (ties) {
+      flat.push_back({integers.data(), uniform.data(), atoms, 1.0});
+    } else {
+      flat.push_back({planes.values(i), planes.probs(i),
+                      planes.support_size(i), 1.0 + 0.1 * i});
+    }
   }
   ConvolutionWorkspace ws;
   KernelCounters counters;
@@ -78,8 +89,17 @@ void BM_DistKernelsConvolve(benchmark::State& state) {
     benchmark::DoNotOptimize(
         ConvolveSumFlat(flat.data(), terms, ws, &counters));
   }
+  state.SetItemsProcessed(counters.atoms);
 }
-BENCHMARK(BM_DistKernelsConvolve)->Arg(4)->Arg(6);
+BENCHMARK(BM_DistKernelsConvolve)
+    ->ArgNames({"terms", "atoms", "ties"})
+    ->Args({4, 4, 0})
+    ->Args({6, 4, 0})
+    ->Args({3, 16, 0})
+    ->Args({3, 64, 0})
+    ->Args({6, 4, 1})
+    ->Args({4, 16, 1})
+    ->Args({3, 64, 1});
 
 void BM_DistKernelsEvOverlapping(benchmark::State& state) {
   // The dist_kernels cell: overlapping claims so both the 1-D and the 2-D

@@ -96,7 +96,7 @@ std::vector<int> CompleteOrder(const std::vector<int>& order,
   for (int i = 0; i < n; ++i) {
     if (!present[i]) rest.push_back(i);
   }
-  std::sort(rest.begin(), rest.end(), [&](int a, int b) {
+  std::stable_sort(rest.begin(), rest.end(), [&](int a, int b) {
     return fallback_score[a] > fallback_score[b];
   });
   out.insert(out.end(), rest.begin(), rest.end());

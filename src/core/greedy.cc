@@ -49,12 +49,12 @@ Selection StaticGreedy(const std::vector<double>& benefits,
   std::vector<int> order(n);
   std::iota(order.begin(), order.end(), 0);
   if (options.cost_aware) {
-    std::sort(order.begin(), order.end(), [&](int a, int b) {
+    std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
       return benefits[a] * costs[b] > benefits[b] * costs[a];
     });
   } else {
-    std::sort(order.begin(), order.end(),
-              [&](int a, int b) { return benefits[a] > benefits[b]; });
+    std::stable_sort(order.begin(), order.end(),
+                     [&](int a, int b) { return benefits[a] > benefits[b]; });
   }
   Selection sel;
   double benefit_sum = 0.0;

@@ -14,8 +14,8 @@ LinearQueryFunction::LinearQueryFunction(std::vector<int> refs,
   FC_CHECK_EQ(refs.size(), coeffs.size());
   std::vector<int> order(refs.size());
   std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(),
-            [&](int a, int b) { return refs[a] < refs[b]; });
+  std::stable_sort(order.begin(), order.end(),
+                   [&](int a, int b) { return refs[a] < refs[b]; });
   for (int k : order) {
     FC_CHECK_GE(refs[k], 0);
     if (!refs_.empty() && refs_.back() == refs[k]) {

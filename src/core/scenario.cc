@@ -98,7 +98,7 @@ double ScenarioSet::ExpectedPosteriorVariance(
   // equal projections form the conditioning groups.
   std::vector<int> order(scenarios_.size());
   std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](int a, int b) {
+  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
     return CompareProjection(scenarios_[a], scenarios_[b], coords) < 0;
   });
   double ev = 0.0;

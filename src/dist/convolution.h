@@ -3,7 +3,9 @@
 // the ratio-claim evaluator.
 //
 // A SumDistribution is the exact distribution of sum_i c_i X_i as a sorted
-// atom list with colliding values merged; the 2-D variant tracks the joint
+// atom list with colliding values merged, in the specified order of
+// dist/kernels.h (equal values' probabilities summed in the order of a
+// stable sort of the term-major expansion); the 2-D variant tracks the joint
 // of two weighted sums over the SAME underlying variables
 // (sum_i a_i X_i, sum_i b_i X_i), which is how shared objects induce
 // correlation between overlapping claims.
@@ -30,8 +32,9 @@ struct WeightedTerm {
   double coeff = 1.0;
 };
 
-// Exact distribution of sum_i coeff_i X_i over independent X_i, sorted by
-// value with equal values merged.  The empty sum is a point mass at 0.
+// Exact distribution of sum_i coeff_i X_i over independent X_i, strictly
+// ascending by value with equal values merged (after every term, point
+// masses included).  The empty sum is a point mass at 0.
 SumDistribution ConvolveSum(const std::vector<WeightedTerm>& terms);
 
 // One atom of a joint (a, b) sum distribution.
@@ -50,9 +53,10 @@ struct WeightedTerm2 {
 };
 
 // Joint distribution of (sum_i a_i X_i, sum_i b_i X_i); sharing an X_i
-// between nonzero a_i and b_i makes the coordinates dependent.  Sorted
-// lexicographically by (a, b), equal pairs merged.  The empty sum is a
-// point mass at (0, 0).
+// between nonzero a_i and b_i makes the coordinates dependent.  Strictly
+// ascending lexicographically by (a, b), equal pairs merged, even where
+// rounding collapses distinct a values.  The empty sum is a point mass at
+// (0, 0).
 SumDistribution2 ConvolveSum2(const std::vector<WeightedTerm2>& terms);
 
 // Moments and tail statistics of a sum distribution.

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
+#include <utility>
 
 #include "dist/kernels.h"
 #include "util/random.h"
@@ -32,16 +32,19 @@ DiscreteDistribution::DiscreteDistribution(std::vector<double> values,
   }
   FC_CHECK_GT(total, 0.0);
 
-  // Sort atoms by value, carrying probabilities along.
-  std::vector<int> order(values.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(),
-            [&](int a, int b) { return values[a] < values[b]; });
+  // Sort atoms by value, carrying probabilities along.  The input index is
+  // the second key, so equal values keep their input order (the order
+  // std::stable_sort gives, without its scratch allocation on this
+  // bulk-construction path) and merge their probabilities in it.
+  std::vector<std::pair<double, int>> order(values.size());
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    order[i] = {values[i], static_cast<int>(i)};
+  }
+  std::sort(order.begin(), order.end());
 
   values_.reserve(values.size());
   probs_.reserve(values.size());
-  for (int idx : order) {
-    double v = values[idx];
+  for (const auto& [v, idx] : order) {
     double p = probs[idx] / total;
     if (p < kAtomFloor) continue;
     if (!values_.empty() && values_.back() == v) {
@@ -55,8 +58,8 @@ DiscreteDistribution::DiscreteDistribution(std::vector<double> values,
   // input was pathological (every atom below the floor relative to total)
   // fall back to keeping the heaviest atom.
   if (values_.empty()) {
-    int best = order[0];
-    for (int idx : order) {
+    int best = order[0].second;
+    for (const auto& [v, idx] : order) {
       if (probs[idx] > probs[best]) best = idx;
     }
     values_.push_back(values[best]);

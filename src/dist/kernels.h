@@ -4,20 +4,33 @@
 //
 // Determinism contract
 // --------------------
-// Every kernel reproduces its legacy AoS loop bit-for-bit:
+// Every kernel's result is a specified function of its input, the same on
+// every standard library and every SIMD width:
 //   * element-wise fills (cross-product expansion, shifts) are
 //     order-independent and free to vectorize;
-//   * floating-point REDUCTIONS accumulate sequentially in the same fixed,
-//     width-independent order as the scalar loop (first atom to last) —
-//     the compiler may vectorize the per-element work but must not
-//     reassociate the accumulation (we never build with -ffast-math), so
-//     results are identical across scalar, SSE, AVX2 and AVX-512 builds;
-//   * canonicalization (sort by value, merge exact equals) uses the same
-//     comparator on the same input sequence as the legacy Canonicalize,
-//     so atom order and merged probability sums match exactly.
-// tests/kernels_test.cc pins the convolution kernels against frozen
-// copies of the legacy loops, and the reductions against naive per-atom
-// loops, on randomized supports.
+//   * floating-point REDUCTIONS accumulate sequentially in a fixed,
+//     width-independent order (first atom to last) — the compiler may
+//     vectorize the per-element work but must not reassociate the
+//     accumulation (we never build with -ffast-math), so results are
+//     identical across scalar, SSE, AVX2 and AVX-512 builds;
+//   * canonicalization has a specified order: each convolution step
+//     expands term-major (run k = the accumulated sum shifted by the
+//     term's atom k, so `a + coeff * x[k]`, `p * x_p[k]`), and the result
+//     equals std::stable_sort of that expansion by value (1-D) or by
+//     (a, b) (2-D), with exact-equal keys' probabilities summed first to
+//     last in that order.  A shift-only step (point-mass term) merges any
+//     keys that rounding made equal, so the planes are canonical after
+//     every step.  The kernels reach that order without sorting: a + shift
+//     is monotone under rounding, so each run is already sorted, and a
+//     balanced cascade of stable two-way merges (ties toward the lower k)
+//     canonicalizes the n runs in ceil(log2 n) passes.  A 2-D run loses
+//     (a, b) order only where rounding collapses two distinct a values;
+//     an O(run) check finds that and stable-sorts just that run.
+//   The order depends on neither the standard library nor its sort
+//   algorithm.
+// tests/kernels_test.cc pins the convolution kernels against that
+// stable-sort reference, and the reductions against naive per-atom loops,
+// on randomized, tie-heavy and rounding-collapse supports.
 //
 // Adding a kernel: take restrict-qualified const double* planes plus an
 // explicit count, accumulate in a fixed order, bump the caller's
@@ -27,10 +40,9 @@
 #ifndef FACTCHECK_DIST_KERNELS_H_
 #define FACTCHECK_DIST_KERNELS_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
-
-#include "dist/convolution.h"
 
 #if defined(__GNUC__) || defined(__clang__)
 #define FC_RESTRICT __restrict__
@@ -89,8 +101,7 @@ class ConvolutionWorkspace {
                              ConvolutionWorkspace& ws,
                              KernelCounters* counters);
   std::vector<double> value_, prob_;            // current accumulated sum
-  std::vector<double> next_value_, next_prob_;  // cross-product expansion
-  std::vector<SumAtom> sort_;                   // canonicalization scratch
+  std::vector<double> next_value_, next_prob_;  // expansion / merge
   int count_ = 0;
 };
 
@@ -105,23 +116,22 @@ class ConvolutionWorkspace2 {
   friend int ConvolveSum2Flat(const FlatTerm2* terms, int num_terms,
                               ConvolutionWorkspace2& ws,
                               KernelCounters* counters);
-  std::vector<double> a_, b_, prob_;
-  std::vector<double> next_a_, next_b_, next_prob_;
-  std::vector<SumAtom2> sort_;
+  std::vector<double> a_, b_, prob_;                 // accumulated sum
+  std::vector<double> next_a_, next_b_, next_prob_;  // expansion / merge
   int count_ = 0;
 };
 
 // Exact distribution of sum_i coeff_i X_i over independent flat terms —
 // the SoA core of ConvolveSum.  Result: `return`ed atom count with planes
 // in ws.values()/ws.probs(), sorted ascending with exact-equal values
-// merged; the empty sum is a point mass at 0.  Aborts (FC_CHECK) if an
-// expansion would exceed kMaxConvolutionAtoms.
+// merged in the specified order above; the empty sum is a point mass at
+// 0.  Aborts (FC_CHECK) if an expansion would exceed kMaxConvolutionAtoms.
 int ConvolveSumFlat(const FlatTerm* terms, int num_terms,
                     ConvolutionWorkspace& ws, KernelCounters* counters);
 
 // Joint distribution of (sum_i a_i X_i, sum_i b_i X_i) — the SoA core of
 // ConvolveSum2; lexicographically sorted by (a, b) with equal pairs
-// merged.
+// merged in the specified order above.
 int ConvolveSum2Flat(const FlatTerm2* terms, int num_terms,
                      ConvolutionWorkspace2& ws, KernelCounters* counters);
 

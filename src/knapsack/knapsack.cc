@@ -59,7 +59,7 @@ KnapsackSolution MaxKnapsackGreedy(const std::vector<double>& values,
   int n = static_cast<int>(values.size());
   std::vector<int> order(n);
   std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](int a, int b) {
+  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
     return values[a] * costs[b] > values[b] * costs[a];  // density desc
   });
   KnapsackSolution sol;
@@ -227,7 +227,7 @@ KnapsackSolution MaxKnapsackBranchAndBound(const std::vector<double>& values,
                        return values[i] <= 0.0 || costs[i] > capacity;
                      }),
       state.order.end());
-  std::sort(state.order.begin(), state.order.end(), [&](int a, int b) {
+  std::stable_sort(state.order.begin(), state.order.end(), [&](int a, int b) {
     return values[a] * costs[b] > values[b] * costs[a];
   });
   BnbRecurse(state, 0, 0.0, 0.0);
@@ -284,7 +284,7 @@ KnapsackSolution MinKnapsackGreedy(const std::vector<double>& values,
   std::vector<int> order(n);
   std::iota(order.begin(), order.end(), 0);
   // Cheapest value per unit of covered cost first.
-  std::sort(order.begin(), order.end(), [&](int a, int b) {
+  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
     return values[a] * costs[b] < values[b] * costs[a];
   });
   for (int i : order) {
@@ -294,8 +294,8 @@ KnapsackSolution MinKnapsackGreedy(const std::vector<double>& values,
     sol.total_cost += costs[i];
   }
   // Polish: drop the most valuable items whose removal keeps feasibility.
-  std::sort(sol.selected.begin(), sol.selected.end(),
-            [&](int a, int b) { return values[a] > values[b]; });
+  std::stable_sort(sol.selected.begin(), sol.selected.end(),
+                   [&](int a, int b) { return values[a] > values[b]; });
   std::vector<int> kept;
   for (size_t k = 0; k < sol.selected.size(); ++k) {
     int i = sol.selected[k];

@@ -1,10 +1,12 @@
 // Kernel-equivalence tier for the SoA planes layer (dist/planes.h,
-// dist/kernels.h): every flat kernel must reproduce a FROZEN copy of the
-// legacy AoS loop bit-for-bit — same atoms, same order, same accumulated
-// doubles — across randomized supports (point masses, zero coefficients,
-// colliding values).  The transform reductions the claim evaluator runs
-// are pinned against naive per-atom loops over QualityTransform for every
-// measure and direction.
+// dist/kernels.h): every convolution kernel must reproduce the SPECIFIED
+// canonical order bit-for-bit — a naive std::stable_sort over the
+// term-major expansion, equal keys' probabilities summed first to last —
+// across randomized supports (point masses, zero coefficients, colliding
+// values), tie-heavy integer supports, mixed-sign coefficients and
+// rounding collapses at 1e16 magnitudes.  The transform reductions the
+// claim evaluator runs are pinned against naive per-atom loops over
+// QualityTransform for every measure and direction.
 
 #include <gtest/gtest.h>
 
@@ -35,15 +37,19 @@ std::uint64_t Bits(double x) {
   return u;
 }
 
-// --- Frozen legacy oracles --------------------------------------------------
-// Verbatim copies of the pre-planes ConvolveSum / ConvolveSum2 bodies
-// (dist/convolution.cc before the kernel rewiring).  They must NEVER be
-// updated to match the kernels; they define what the kernels must hit.
+// --- Specified stable-sort reference ----------------------------------------
+// The canonical order of dist/kernels.h, written as naively as possible:
+// every step expands term-major (run k = the accumulated sum shifted by
+// the term's atom k), std::stable_sort's by key and sums exact-equal
+// keys' probabilities first to last; a point-mass step shifts and
+// canonicalizes the same way.  It must NEVER be updated to match the
+// kernels; it defines what the kernels must hit.
 
-void LegacyCanonicalize(SumDistribution& d) {
-  std::sort(d.begin(), d.end(), [](const SumAtom& x, const SumAtom& y) {
-    return x.value < y.value;
-  });
+void ReferenceCanonicalize(SumDistribution& d) {
+  std::stable_sort(d.begin(), d.end(),
+                   [](const SumAtom& x, const SumAtom& y) {
+                     return x.value < y.value;
+                   });
   size_t out = 0;
   for (size_t i = 0; i < d.size(); ++i) {
     if (out > 0 && d[out - 1].value == d[i].value) {
@@ -55,10 +61,11 @@ void LegacyCanonicalize(SumDistribution& d) {
   d.resize(out);
 }
 
-void LegacyCanonicalize2(SumDistribution2& d) {
-  std::sort(d.begin(), d.end(), [](const SumAtom2& x, const SumAtom2& y) {
-    return x.a != y.a ? x.a < y.a : x.b < y.b;
-  });
+void ReferenceCanonicalize2(SumDistribution2& d) {
+  std::stable_sort(d.begin(), d.end(),
+                   [](const SumAtom2& x, const SumAtom2& y) {
+                     return x.a != y.a ? x.a < y.a : x.b < y.b;
+                   });
   size_t out = 0;
   for (size_t i = 0; i < d.size(); ++i) {
     if (out > 0 && d[out - 1].a == d[i].a && d[out - 1].b == d[i].b) {
@@ -70,32 +77,32 @@ void LegacyCanonicalize2(SumDistribution2& d) {
   d.resize(out);
 }
 
-SumDistribution LegacyConvolveSum(const std::vector<WeightedTerm>& terms) {
+SumDistribution ReferenceConvolveSum(const std::vector<WeightedTerm>& terms) {
   SumDistribution acc = {{0.0, 1.0}};
   for (const WeightedTerm& term : terms) {
     const DiscreteDistribution& x = *term.dist;
     if (x.is_point_mass()) {
       double shift = term.coeff * x.value(0);
       for (SumAtom& a : acc) a.value += shift;
+      ReferenceCanonicalize(acc);
       continue;
     }
     if (term.coeff == 0.0) continue;
     SumDistribution next;
-    next.reserve(acc.size() * x.support_size());
-    for (const SumAtom& a : acc) {
-      for (int k = 0; k < x.support_size(); ++k) {
+    for (int k = 0; k < x.support_size(); ++k) {
+      for (const SumAtom& a : acc) {
         next.push_back(
             {a.value + term.coeff * x.value(k), a.prob * x.prob(k)});
       }
     }
-    LegacyCanonicalize(next);
+    ReferenceCanonicalize(next);
     acc = std::move(next);
   }
-  LegacyCanonicalize(acc);
   return acc;
 }
 
-SumDistribution2 LegacyConvolveSum2(const std::vector<WeightedTerm2>& terms) {
+SumDistribution2 ReferenceConvolveSum2(
+    const std::vector<WeightedTerm2>& terms) {
   SumDistribution2 acc = {{0.0, 0.0, 1.0}};
   for (const WeightedTerm2& term : terms) {
     const DiscreteDistribution& x = *term.dist;
@@ -106,32 +113,28 @@ SumDistribution2 LegacyConvolveSum2(const std::vector<WeightedTerm2>& terms) {
         a.a += da;
         a.b += db;
       }
+      ReferenceCanonicalize2(acc);
       continue;
     }
     if (term.coeff_a == 0.0 && term.coeff_b == 0.0) continue;
     SumDistribution2 next;
-    next.reserve(acc.size() * x.support_size());
-    for (const SumAtom2& a : acc) {
-      for (int k = 0; k < x.support_size(); ++k) {
+    for (int k = 0; k < x.support_size(); ++k) {
+      for (const SumAtom2& a : acc) {
         next.push_back({a.a + term.coeff_a * x.value(k),
                         a.b + term.coeff_b * x.value(k), a.prob * x.prob(k)});
       }
     }
-    LegacyCanonicalize2(next);
+    ReferenceCanonicalize2(next);
     acc = std::move(next);
   }
-  LegacyCanonicalize2(acc);
   return acc;
 }
 
 // --- Randomized instance generators ----------------------------------------
 
-// Integer-spaced supports so cross-term sums collide and the merge branch
-// of the canonicalization actually runs; support 1 yields the point-mass
-// shift path.
-DiscreteDistribution RandomDist(Rng& rng) {
-  int support = rng.UniformInt(1, 4);
-  std::vector<int> pool = {-3, -2, -1, 0, 1, 2, 3, 4};
+// `support` distinct atoms drawn from `pool` with random weights.
+DiscreteDistribution DistFromPool(Rng& rng, std::vector<double> pool,
+                                  int support) {
   for (int i = 0; i < support; ++i) {
     int j = rng.UniformInt(i, static_cast<int>(pool.size()) - 1);
     std::swap(pool[i], pool[j]);
@@ -144,8 +147,41 @@ DiscreteDistribution RandomDist(Rng& rng) {
   return DiscreteDistribution(values, probs);
 }
 
+// Integer-spaced supports so cross-term sums collide and the merge branch
+// of the canonicalization actually runs; support 1 yields the point-mass
+// shift path.
+DiscreteDistribution RandomDist(Rng& rng) {
+  return DistFromPool(rng, {-3, -2, -1, 0, 1, 2, 3, 4},
+                      rng.UniformInt(1, 4));
+}
+
+// Narrow integer supports of 3-6 atoms: from the third term on, most
+// steps expand past 16 atoms (libstdc++'s insertion-sort cutoff, below
+// which std::sort happens to be stable) with most keys tied.
+DiscreteDistribution TieHeavyDist(Rng& rng) {
+  return DistFromPool(rng, {0, 1, 2, 3, 4, 5}, rng.UniformInt(3, 6));
+}
+
+// Ulp-spaced small values next to 1e16 magnitudes, where the spacing of
+// doubles is 2: shifting the accumulated sum by a large atom collapses
+// distinct values into one.  A third of the draws are point masses, so
+// shift-only steps interleave with expansions.
+DiscreteDistribution CollapseDist(Rng& rng) {
+  const double ulp1 = std::nextafter(1.0, 2.0) - 1.0;
+  return DistFromPool(
+      rng, {0.0, ulp1, 0.5, 1.0, 1.0 + ulp1, 3.0, 1e16, -1e16, 4e16},
+      rng.UniformInt(0, 2) == 0 ? 1 : rng.UniformInt(2, 4));
+}
+
+// 2-64 integer atoms from [-40, 40].
+DiscreteDistribution WideDist(Rng& rng) {
+  std::vector<double> pool;
+  for (int v = -40; v <= 40; ++v) pool.push_back(v);
+  return DistFromPool(rng, pool, rng.UniformInt(2, 64));
+}
+
 // Zero, duplicate, negative and fractional coefficients all hit distinct
-// branches of the legacy loop.
+// branches of the kernels.
 double RandomCoeff(Rng& rng) {
   switch (rng.UniformInt(0, 5)) {
     case 0: return 0.0;
@@ -157,42 +193,88 @@ double RandomCoeff(Rng& rng) {
   }
 }
 
-// --- 1-D convolution kernel -------------------------------------------------
+// Mixed-sign integer coefficients: every tie stays an exact tie.
+double SignedIntCoeff(Rng& rng) {
+  static constexpr double kCoeffs[] = {1.0, -1.0, 2.0, -2.0};
+  return kCoeffs[rng.UniformInt(0, 3)];
+}
 
-TEST(KernelConvolveTest, FlatMatchesLegacyOnRandomizedTerms) {
-  Rng rng(71);
+using DistGen = DiscreteDistribution (*)(Rng&);
+using CoeffGen = double (*)(Rng&);
+
+// Runs `trials` random term lists of up to `max_terms` terms through
+// ConvolveSumFlat and ConvolveSum2Flat and pins both against the
+// stable-sort reference bit-for-bit.
+void ExpectKernelsMatchReference(std::uint64_t seed, int trials,
+                                 int max_terms, DistGen dist_gen,
+                                 CoeffGen coeff_gen) {
+  Rng rng(seed);
   ConvolutionWorkspace ws;
+  ConvolutionWorkspace2 ws2;
   KernelCounters counters;
-  for (int trial = 0; trial < 200; ++trial) {
+  for (int trial = 0; trial < trials; ++trial) {
     SCOPED_TRACE("trial=" + std::to_string(trial));
-    int num_terms = rng.UniformInt(0, 5);
+    int num_terms = rng.UniformInt(0, max_terms);
     std::vector<DiscreteDistribution> dists;
     dists.reserve(num_terms);  // FlatTerm borrows; no reallocation allowed
-    std::vector<WeightedTerm> legacy;
+    std::vector<WeightedTerm> terms;
     std::vector<FlatTerm> flat;
+    std::vector<WeightedTerm2> terms2;
+    std::vector<FlatTerm2> flat2;
     for (int t = 0; t < num_terms; ++t) {
-      dists.push_back(RandomDist(rng));
+      dists.push_back(dist_gen(rng));
       const DiscreteDistribution& d = dists.back();
-      double coeff = RandomCoeff(rng);
-      legacy.push_back({&d, coeff});
+      // Exclusive-to-a, exclusive-to-b, shared and dead 2-D terms: the
+      // four shapes the pair evaluator emits.
+      double ca = coeff_gen(rng);
+      double cb = coeff_gen(rng);
+      terms.push_back({&d, ca});
       flat.push_back(
-          {d.values().data(), d.probs().data(), d.support_size(), coeff});
+          {d.values().data(), d.probs().data(), d.support_size(), ca});
+      terms2.push_back({&d, ca, cb});
+      flat2.push_back(
+          {d.values().data(), d.probs().data(), d.support_size(), ca, cb});
     }
-    SumDistribution expect = LegacyConvolveSum(legacy);
+    SumDistribution expect = ReferenceConvolveSum(terms);
     int n = ConvolveSumFlat(flat.data(), num_terms, ws, &counters);
     ASSERT_EQ(n, static_cast<int>(expect.size()));
     for (int k = 0; k < n; ++k) {
       EXPECT_EQ(Bits(ws.values()[k]), Bits(expect[k].value)) << "atom " << k;
       EXPECT_EQ(Bits(ws.probs()[k]), Bits(expect[k].prob)) << "atom " << k;
     }
+    SumDistribution2 expect2 = ReferenceConvolveSum2(terms2);
+    int n2 = ConvolveSum2Flat(flat2.data(), num_terms, ws2, &counters);
+    ASSERT_EQ(n2, static_cast<int>(expect2.size()));
+    for (int k = 0; k < n2; ++k) {
+      EXPECT_EQ(Bits(ws2.a()[k]), Bits(expect2[k].a)) << "atom " << k;
+      EXPECT_EQ(Bits(ws2.b()[k]), Bits(expect2[k].b)) << "atom " << k;
+      EXPECT_EQ(Bits(ws2.probs()[k]), Bits(expect2[k].prob)) << "atom " << k;
+    }
   }
   EXPECT_GT(counters.calls, 0);
   EXPECT_GT(counters.atoms, 0);
 }
 
-TEST(KernelConvolveTest, ShimStaysOnTheLegacyContract) {
-  // The AoS ConvolveSum API now routes through the flat kernel; the same
-  // randomized instances must keep matching the frozen oracle through it.
+// --- Convolution kernels vs the reference ----------------------------------
+
+TEST(KernelConvolveTest, FlatMatchesReferenceOnRandomizedTerms) {
+  ExpectKernelsMatchReference(71, 3000, 5, RandomDist, RandomCoeff);
+}
+
+TEST(KernelConvolveTest, TieHeavySupportsMatchReference) {
+  ExpectKernelsMatchReference(75, 1000, 6, TieHeavyDist, SignedIntCoeff);
+}
+
+TEST(KernelConvolveTest, RoundingCollapsesMatchReference) {
+  // Mixed-sign coefficients over the collapse pool: 1-D and 2-D runs lose
+  // distinct values to rounding, 2-D runs lose lexicographic order, and
+  // point-mass shifts collapse neighbours between expansions.
+  ExpectKernelsMatchReference(76, 4000, 5, CollapseDist, RandomCoeff);
+}
+
+TEST(KernelConvolveTest, ShimMatchesReference) {
+  // The AoS ConvolveSum API routes through the flat kernel; the same
+  // randomized instances must keep matching the reference through it.
   Rng rng(72);
   for (int trial = 0; trial < 50; ++trial) {
     SCOPED_TRACE("trial=" + std::to_string(trial));
@@ -204,7 +286,7 @@ TEST(KernelConvolveTest, ShimStaysOnTheLegacyContract) {
       dists.push_back(RandomDist(rng));
       terms.push_back({&dists.back(), RandomCoeff(rng)});
     }
-    SumDistribution expect = LegacyConvolveSum(terms);
+    SumDistribution expect = ReferenceConvolveSum(terms);
     SumDistribution got = ConvolveSum(terms);
     ASSERT_EQ(got.size(), expect.size());
     for (size_t k = 0; k < got.size(); ++k) {
@@ -214,40 +296,72 @@ TEST(KernelConvolveTest, ShimStaysOnTheLegacyContract) {
   }
 }
 
-// --- 2-D (joint) convolution kernel ----------------------------------------
+TEST(KernelConvolveTest, TrailingPointMassLeavesCanonicalResult) {
+  // {0, 1} + {0, ulp(1)} has four distinct sums; shifting them by 1e3
+  // rounds 1000 + ulp(1) to 1000 and 1001 + ulp(1) to 1001, so the shift
+  // must merge the collided neighbours (and, in 2-D, reorder the pairs
+  // the b coordinate still tells apart).
+  const double ulp1 = std::nextafter(1.0, 2.0) - 1.0;
+  ASSERT_EQ(1000.0 + ulp1, 1000.0);
+  DiscreteDistribution coin({0.0, 1.0}, {0.5, 0.5});
+  DiscreteDistribution tiny({0.0, ulp1}, {0.5, 0.5});
+  DiscreteDistribution point({1e3}, {1.0});
+  std::vector<const DiscreteDistribution*> dists = {&coin, &tiny, &point};
 
-TEST(KernelConvolveTest, Flat2MatchesLegacyOnRandomizedTerms) {
-  Rng rng(73);
-  ConvolutionWorkspace2 ws;
-  KernelCounters counters;
-  for (int trial = 0; trial < 200; ++trial) {
-    SCOPED_TRACE("trial=" + std::to_string(trial));
-    int num_terms = rng.UniformInt(0, 4);
-    std::vector<DiscreteDistribution> dists;
-    dists.reserve(num_terms);
-    std::vector<WeightedTerm2> legacy;
-    std::vector<FlatTerm2> flat;
-    for (int t = 0; t < num_terms; ++t) {
-      dists.push_back(RandomDist(rng));
-      const DiscreteDistribution& d = dists.back();
-      // Exclusive-to-a, exclusive-to-b, shared and dead terms: the four
-      // shapes the pair evaluator emits.
-      double ca = RandomCoeff(rng);
-      double cb = RandomCoeff(rng);
-      legacy.push_back({&d, ca, cb});
-      flat.push_back(
-          {d.values().data(), d.probs().data(), d.support_size(), ca, cb});
-    }
-    SumDistribution2 expect = LegacyConvolveSum2(legacy);
-    int n = ConvolveSum2Flat(flat.data(), num_terms, ws, &counters);
-    ASSERT_EQ(n, static_cast<int>(expect.size()));
-    for (int k = 0; k < n; ++k) {
-      EXPECT_EQ(Bits(ws.a()[k]), Bits(expect[k].a)) << "atom " << k;
-      EXPECT_EQ(Bits(ws.b()[k]), Bits(expect[k].b)) << "atom " << k;
-      EXPECT_EQ(Bits(ws.probs()[k]), Bits(expect[k].prob)) << "atom " << k;
-    }
+  std::vector<FlatTerm> flat;
+  for (const DiscreteDistribution* d : dists) {
+    flat.push_back({d->values().data(), d->probs().data(), d->support_size(),
+                    1.0});
   }
-  EXPECT_GT(counters.calls, 0);
+  ConvolutionWorkspace ws;
+  ASSERT_EQ(ConvolveSumFlat(flat.data(), 3, ws, nullptr), 2);
+  EXPECT_EQ(ws.values()[0], 1000.0);
+  EXPECT_EQ(ws.values()[1], 1001.0);
+  EXPECT_EQ(ws.probs()[0], 0.5);
+  EXPECT_EQ(ws.probs()[1], 0.5);
+
+  const double coeff_b[] = {0.0, -1.0, 0.0};
+  std::vector<FlatTerm2> flat2;
+  for (int t = 0; t < 3; ++t) {
+    flat2.push_back({dists[t]->values().data(), dists[t]->probs().data(),
+                     dists[t]->support_size(), 1.0, coeff_b[t]});
+  }
+  ConvolutionWorkspace2 ws2;
+  ASSERT_EQ(ConvolveSum2Flat(flat2.data(), 3, ws2, nullptr), 4);
+  const double want_a[] = {1000.0, 1000.0, 1001.0, 1001.0};
+  const double want_b[] = {-ulp1, 0.0, -ulp1, 0.0};
+  for (int k = 0; k < 4; ++k) {
+    EXPECT_EQ(ws2.a()[k], want_a[k]) << "atom " << k;
+    EXPECT_EQ(ws2.b()[k], want_b[k]) << "atom " << k;
+    EXPECT_EQ(ws2.probs()[k], 0.25) << "atom " << k;
+  }
+}
+
+TEST(KernelConvolveTest, CollapsedRunIsReorderedStably) {
+  // (0, 0), (1, -1) shifted by (1e16, 0): 1e16 + 1 rounds to 1e16, so the
+  // second run arrives as (1e16, 0), (1e16, -1) and the per-run check must
+  // restore (a, b) order before the merge.
+  ASSERT_EQ(1e16 + 1.0, 1e16);
+  DiscreteDistribution coin({0.0, 1.0}, {0.5, 0.5});
+  DiscreteDistribution far({0.0, 1e16}, {0.5, 0.5});
+  std::vector<FlatTerm2> flat2 = {
+      {coin.values().data(), coin.probs().data(), 2, 1.0, -1.0},
+      {far.values().data(), far.probs().data(), 2, 1.0, 0.0}};
+  ConvolutionWorkspace2 ws2;
+  ASSERT_EQ(ConvolveSum2Flat(flat2.data(), 2, ws2, nullptr), 4);
+  const double want_a[] = {0.0, 1.0, 1e16, 1e16};
+  const double want_b[] = {0.0, -1.0, -1.0, 0.0};
+  for (int k = 0; k < 4; ++k) {
+    EXPECT_EQ(ws2.a()[k], want_a[k]) << "atom " << k;
+    EXPECT_EQ(ws2.b()[k], want_b[k]) << "atom " << k;
+  }
+}
+
+TEST(KernelConvolveTest, WideSupportsMatchReference) {
+  // Supports far wider than the benchmark's 3-5 atoms: the merge cascade
+  // runs up to six passes and, with integer values, most keys tie across
+  // many runs.
+  ExpectKernelsMatchReference(77, 20, 3, WideDist, SignedIntCoeff);
 }
 
 // --- Planes store -----------------------------------------------------------

@@ -28,6 +28,13 @@ that historically breaks that contract:
                   kernels layer owns the documented first-to-last
                   contract; everything else writes explicit loops or
                   calls the kernels.
+  unstable-sort   std::sort called with a comparator: elements the
+                  comparator ties come out in an order the standard
+                  leaves unspecified (libstdc++ happens to be stable below
+                  16 elements, libc++ differs), so a selection or a
+                  floating-point sum that depends on it is
+                  library-dependent.  Use std::stable_sort, which makes
+                  the input order (typically the index) the tie-break.
 
 False positives go in tools/determinism_allowlist.txt, one audited site
 per line: `path-glob|rule|line-substring # reason`.  Keep reasons honest;
@@ -209,11 +216,48 @@ def rule_fp_reduce(path, lines):
     return findings
 
 
+SORT_CALL = re.compile(r"\bstd::sort\s*\(")
+OPENERS, CLOSERS = "([{", ")]}"
+
+
+def top_level_args(text, start):
+    """Number of top-level arguments of the call whose '(' is at `start`
+    (brackets and braces nest, so lambda captures and bodies count as one
+    argument)."""
+    depth, args = 0, 1
+    for i in range(start, len(text)):
+        c = text[i]
+        if c in OPENERS:
+            depth += 1
+        elif c in CLOSERS:
+            depth -= 1
+            if depth == 0:
+                return args
+        elif c == "," and depth == 1:
+            args += 1
+    return args
+
+
+def rule_unstable_sort(path, lines):
+    del path
+    text = "\n".join(lines)
+    findings = []
+    for match in SORT_CALL.finditer(text):
+        if top_level_args(text, match.end() - 1) >= 3:
+            findings.append(
+                (text.count("\n", 0, match.start()) + 1,
+                 "std::sort with a comparator leaves the order of tied "
+                 "elements unspecified; use std::stable_sort so ties keep "
+                 "their input order"))
+    return findings
+
+
 RULES = {
     "banned-random": rule_banned_random,
     "unordered-iter": rule_unordered_iter,
     "local-static": rule_local_static,
     "fp-reduce": rule_fp_reduce,
+    "unstable-sort": rule_unstable_sort,
 }
 
 SOURCE_EXTENSIONS = (".h", ".cc", ".cpp", ".hpp")
@@ -338,6 +382,17 @@ SELF_TEST_FIXTURES = {
         """,
         3,
     ),
+    "unstable-sort": (
+        "src/fixture/bad.cc",
+        """
+        void Rank(std::vector<int>& order, const std::vector<double>& w) {
+          std::sort(order.begin(), order.end(),
+                    [&, w](int a, int b) { return w[a] > w[b]; });
+          std::sort(order.begin(), order.end(), std::greater<int>());
+        }
+        """,
+        2,
+    ),
 }
 
 CLEAN_FIXTURE = """
@@ -353,6 +408,11 @@ class Engine {
 };
 int CountAll(const std::vector<int>& xs) {
   return std::accumulate(xs.begin(), xs.end(), 0);  // integer reduce: fine
+}
+void Order(std::vector<int>& ids, const std::vector<double>& w) {
+  std::sort(ids.begin(), ids.end());  // natural order, ties identical: fine
+  std::stable_sort(ids.begin(), ids.end(),
+                   [&](int a, int b) { return w[a] < w[b]; });  // fine
 }
 double SumAll(const std::vector<double>& xs) {
   double total = 0.0;
