@@ -125,47 +125,46 @@ bool PlanningService::RegisterProblem(const std::string& name,
   }
   auto entry = std::make_unique<ProblemEntry>(
       name, std::move(*problem), std::move(refs), std::move(coeffs));
+  // Held to the insert, so the name checked free here is still free
+  // there; the snapshot write in between blocks no request.
+  fc::MutexLock register_lock(&register_mutex_);
+  if (HasProblem(name)) {
+    return Fail(error,
+                "problem \"" + name +
+                    "\" is already registered (re-registration would orphan "
+                    "its engines' memos)");
+  }
+  if (store_ != nullptr && !ChangelogStore::ValidName(name)) {
+    return Fail(error,
+                "with persistence enabled, problem names must match "
+                "[A-Za-z0-9_.-] and not start with '.'");
+  }
+  std::string snapshot;
+  {
+    fc::MutexLock run_lock(&entry->run_mutex);
+    entry->Publish();
+    if (store_ != nullptr) {
+      snapshot = EncodeSnapshot(entry->problem, entry->query.References(),
+                                entry->query.coefficients(), entry->last_seq);
+    }
+  }
+  // Persist the initial state as a snapshot at sequence 0, so the problem
+  // survives a restart even before its first update.  A persistence
+  // failure leaves the problem unregistered — a problem the changelog
+  // can't restore must not accept updates it would forget.
+  std::string store_error;
+  if (store_ != nullptr &&
+      !store_->SaveSnapshot(name, snapshot, &store_error)) {
+    return Fail(error, store_error);
+  }
   fc::MutexLock lock(&registry_mutex_);
-  auto [it, inserted] = problems_.try_emplace(name, std::move(entry));
-  if (!inserted) {
-    if (error != nullptr) {
-      *error = "problem \"" + name +
-               "\" is already registered (re-registration would orphan its "
-               "engines' memos)";
-    }
-    return false;
-  }
-  if (store_ != nullptr) {
-    // Persist the initial state as a snapshot at sequence 0, so the
-    // problem survives a restart even before its first update.  A
-    // persistence failure unregisters the problem — a problem the
-    // changelog can't restore must not accept updates it would forget.
-    ProblemEntry* inserted_entry = it->second.get();
-    if (!ChangelogStore::ValidName(name)) {
-      problems_.erase(it);
-      return Fail(error,
-                  "with persistence enabled, problem names must match "
-                  "[A-Za-z0-9_.-] and not start with '.'");
-    }
-    std::string snapshot;
-    {
-      fc::MutexLock run_lock(&inserted_entry->run_mutex);
-      snapshot = EncodeSnapshot(inserted_entry->problem,
-                                inserted_entry->query.References(),
-                                inserted_entry->query.coefficients(),
-                                inserted_entry->last_seq);
-    }
-    std::string store_error;
-    if (!store_->SaveSnapshot(name, snapshot, &store_error)) {
-      problems_.erase(it);
-      return Fail(error, store_error);
-    }
-  }
+  problems_.emplace(name, std::move(entry));
   return true;
 }
 
 bool PlanningService::EnablePersistence(const std::string& dir,
                                         std::string* error) {
+  fc::MutexLock register_lock(&register_mutex_);
   auto store = std::make_unique<ChangelogStore>(dir);
   if (!store->Init(error)) return false;
   std::vector<ChangelogStore::LoadedProblem> loaded;
@@ -208,6 +207,7 @@ bool PlanningService::EnablePersistence(const std::string& dir,
       fc::MutexLock run_lock(&entry->run_mutex);
       entry->last_seq = last_seq;
       entry->log_records = last_seq - snapshot_seq;
+      entry->Publish();
     }
     fc::MutexLock lock(&registry_mutex_);
     auto [it, inserted] =
@@ -231,6 +231,34 @@ PlanningService::ProblemEntry* PlanningService::FindEntry(
   fc::MutexLock lock(&registry_mutex_);
   auto it = problems_.find(name);
   return it == problems_.end() ? nullptr : it->second.get();
+}
+
+std::vector<PlanningService::ProblemEntry*> PlanningService::Entries() const {
+  fc::MutexLock lock(&registry_mutex_);
+  std::vector<ProblemEntry*> entries;
+  entries.reserve(problems_.size());
+  for (const auto& kv : problems_) entries.push_back(kv.second.get());
+  return entries;
+}
+
+void PlanningService::ProblemEntry::Publish() {
+  const int objects = problem.size();
+  const std::uint64_t epoch = problem.epoch();
+  const std::int64_t rows_rebuilt = problem.plane_rows_rebuilt();
+  fc::MutexLock lock(&published_mutex);
+  published.objects = objects;
+  published.epoch = epoch;
+  published.plane_rows_rebuilt = rows_rebuilt;
+  published.requests = requests;
+  // Engines are only ever added, and the map is ordered by key, so a new
+  // engine can shift later keys; copy a key only where it differs.
+  published.engines.resize(engines.size());
+  auto slot = published.engines.begin();
+  for (const auto& [key, engine] : engines) {
+    if (slot->first != key) slot->first = key;
+    slot->second = engine->stats();
+    ++slot;
+  }
 }
 
 EvalEngine* PlanningService::EngineFor(ProblemEntry* entry, ObjectiveKind kind,
@@ -304,6 +332,14 @@ std::string PlanningService::HandleRegister(const JsonValue& request) {
     return ErrorResponse(error);
   }
   ProblemEntry* entry = FindEntry(name);
+  int objects = 0;
+  double total_cost = 0.0;
+  {
+    // An update may already be running on the new problem.
+    fc::MutexLock lock(&entry->run_mutex);
+    objects = entry->problem.size();
+    total_cost = entry->problem.TotalCost();
+  }
   JsonWriter writer;
   writer.BeginObject()
       .Key("ok")
@@ -313,9 +349,9 @@ std::string PlanningService::HandleRegister(const JsonValue& request) {
       .Key("problem")
       .String(name)
       .Key("objects")
-      .Int(entry->problem.size())
+      .Int(objects)
       .Key("total_cost")
-      .Number(entry->problem.TotalCost())
+      .Number(total_cost)
       .EndObject();
   return writer.str();
 }
@@ -396,6 +432,7 @@ std::string PlanningService::HandlePlan(const JsonValue& request) {
   std::optional<DeadlineToken> deadline;
   if (!ReadDeadline(request, &deadline, &error)) return ErrorResponse(error);
   if (deadline.has_value()) plan.cancel = &*deadline;
+  if (plan_cancel_for_test_ != nullptr) plan.cancel = plan_cancel_for_test_;
 
   // The serialized section: one plan at a time per problem, because the
   // session engine is single-writer.  Everything inside is deterministic
@@ -403,6 +440,7 @@ std::string PlanningService::HandlePlan(const JsonValue& request) {
   // not depend on how client threads interleave.
   std::optional<PlanResult> result;
   std::int64_t requests_after = 0;
+  std::uint64_t epoch = 0;
   {
     fc::MutexLock lock(&entry->run_mutex);
     // Budget resolution reads TotalCost inside the serialized section so
@@ -411,6 +449,7 @@ std::string PlanningService::HandlePlan(const JsonValue& request) {
     plan.budget =
         has_budget ? budget : budget_frac * entry->problem.TotalCost();
     plan.session_engine = EngineFor(entry, plan.objective, plan.tau);
+    epoch = entry->problem.epoch();
     Stopwatch stopwatch;
     result = planner_.TryPlan(plan, algo_name, &error);
     double seconds = stopwatch.ElapsedSeconds();
@@ -421,9 +460,11 @@ std::string PlanningService::HandlePlan(const JsonValue& request) {
       // engine-free algorithms report the request count alone.
       result->stats.requests = requests_after;
     }
+    // Failed and cancelled runs publish too: their evaluations are real.
+    entry->Publish();
   }
   if (!result.has_value()) {
-    if (deadline.has_value() && deadline->Cancelled()) {
+    if (plan.cancel != nullptr && plan.cancel->Cancelled()) {
       ++robustness_.deadline_exceeded;
     }
     return ErrorResponse(error);
@@ -439,6 +480,8 @@ std::string PlanningService::HandlePlan(const JsonValue& request) {
       .String(name)
       .Key("requests")
       .Int(requests_after)
+      .Key("epoch")
+      .Int(static_cast<std::int64_t>(epoch))
       .Key("result");
   result->WriteJson(writer);
   writer.EndObject();
@@ -477,42 +520,16 @@ std::string PlanningService::HandleUpdate(const JsonValue& request) {
   std::optional<DeadlineToken> deadline;
   if (!ReadDeadline(request, &deadline, &error)) return ErrorResponse(error);
 
-  std::uint64_t epoch = 0;
-  int objects = 0;
-  bool replayed = false;
+  std::optional<std::int64_t> idempotency_seq;
+  if (has_idem) idempotency_seq = static_cast<std::int64_t>(idem_seq);
+  ApplyOutcome outcome;
   {
     fc::MutexLock lock(&entry->run_mutex);
-    if (deadline.has_value() && deadline->Cancelled()) {
-      // Checked before the batch touches anything, so an expired update
-      // is rejected whole — never applied in memory after the client
-      // already gave up on it.
-      ++robustness_.deadline_exceeded;
-      return ErrorResponse("deadline exceeded");
-    }
-    if (has_idem) {
-      // The retry contract: S names the sequence the batch's FIRST
-      // record would take.  Behind the cursor means a retried batch the
-      // changelog already holds — acknowledge without re-applying.
-      const std::int64_t seq = static_cast<std::int64_t>(idem_seq);
-      if (seq <= entry->last_seq) {
-        replayed = true;
-        ++robustness_.idempotent_replays;
-        epoch = entry->problem.epoch();
-        objects = entry->problem.size();
-      } else if (seq != entry->last_seq + 1) {
-        return ErrorResponse(
-            "idempotency_seq " + std::to_string(seq) +
-            " is ahead of the changelog (next is " +
-            std::to_string(entry->last_seq + 1) + ")");
-      }
-    }
-    if (!replayed) {
-      ApplyOutcome outcome = ApplyValidated(entry, deltas, &error);
-      if (!outcome.ok) return ErrorResponse(error);
-      epoch = outcome.epoch;
-      objects = outcome.objects;
-    }
+    outcome = ApplyUpdate(entry, deltas, idempotency_seq,
+                          deadline.has_value() ? &*deadline : nullptr, &error);
+    entry->Publish();
   }
+  if (!outcome.ok) return ErrorResponse(error);
 
   JsonWriter writer;
   writer.BeginObject()
@@ -523,21 +540,49 @@ std::string PlanningService::HandleUpdate(const JsonValue& request) {
       .Key("problem")
       .String(name)
       .Key("applied")
-      .Int(replayed ? 0
-                    : static_cast<std::int64_t>(deltas.size()));
-  if (replayed) writer.Key("replayed").Bool(true);
+      .Int(outcome.replayed ? 0 : static_cast<std::int64_t>(deltas.size()));
+  if (outcome.replayed) writer.Key("replayed").Bool(true);
   writer.Key("epoch")
-      .Int(static_cast<std::int64_t>(epoch))
+      .Int(static_cast<std::int64_t>(outcome.epoch))
       .Key("objects")
-      .Int(objects)
+      .Int(outcome.objects)
       .EndObject();
   return writer.str();
 }
 
-PlanningService::ApplyOutcome PlanningService::ApplyValidated(
+PlanningService::ApplyOutcome PlanningService::ApplyUpdate(
     ProblemEntry* entry, const std::vector<ProblemDelta>& deltas,
+    std::optional<std::int64_t> idempotency_seq, const CancelToken* deadline,
     std::string* error) {
   ApplyOutcome outcome;
+  if (deadline != nullptr && deadline->Cancelled()) {
+    // Checked before the batch touches anything, so an expired update is
+    // rejected whole — never applied in memory after the client already
+    // gave up on it.
+    ++robustness_.deadline_exceeded;
+    Fail(error, "deadline exceeded");
+    return outcome;
+  }
+  if (idempotency_seq.has_value()) {
+    // The retry contract: S names the sequence the batch's FIRST record
+    // would take.  Behind the cursor means a retried batch the changelog
+    // already holds — acknowledge without re-applying.
+    const std::int64_t seq = *idempotency_seq;
+    if (seq <= entry->last_seq) {
+      ++robustness_.idempotent_replays;
+      outcome.ok = true;
+      outcome.replayed = true;
+      outcome.epoch = entry->problem.epoch();
+      outcome.objects = entry->problem.size();
+      return outcome;
+    }
+    if (seq != entry->last_seq + 1) {
+      Fail(error, "idempotency_seq " + std::to_string(seq) +
+                      " is ahead of the changelog (next is " +
+                      std::to_string(entry->last_seq + 1) + ")");
+      return outcome;
+    }
+  }
   {
     // All or nothing: the whole batch must validate against a scratch
     // copy before the first delta touches the live problem, so a reject
@@ -639,55 +684,54 @@ std::string PlanningService::StatsJson() const {
   writer.BeginObject();
   writer.Key("problems").BeginArray();
   std::int64_t total = 0;
-  {
-    fc::MutexLock lock(&registry_mutex_);
-    for (const auto& kv : problems_) {
-      ProblemEntry* entry = kv.second.get();
-      fc::MutexLock run_lock(&entry->run_mutex);
-      total += entry->requests;
-      writer.BeginObject()
-          .Key("name")
-          .String(kv.first)
-          .Key("objects")
-          .Int(entry->problem.size())
-          .Key("epoch")
-          .Int(static_cast<std::int64_t>(entry->problem.epoch()))
-          .Key("plane_rows_rebuilt")
-          .Int(entry->problem.plane_rows_rebuilt())
-          .Key("requests")
-          .Int(entry->requests);
-      writer.Key("latency")
-          .BeginObject()
-          .Key("count")
-          .Int(entry->latency.count())
-          .Key("p50_ms")
-          .Number(entry->latency.p50() * 1e3)
-          .Key("p99_ms")
-          .Number(entry->latency.p99() * 1e3)
-          .EndObject();
-      writer.Key("engines").BeginArray();
-      for (const auto& [key, engine] : entry->engines) {
-        const EngineStats& stats = engine->stats();
-        writer.BeginObject()
-            .Key("objective")
-            .String(key)
-            .Key("evaluations")
-            .Int(stats.evaluations)
-            .Key("cache_hits")
-            .Int(stats.cache_hits)
-            .Key("probes")
-            .Int(stats.probes)
-            .Key("commits")
-            .Int(stats.commits)
-            .Key("cache_evictions")
-            .Int(stats.cache_evictions)
-            .Key("full_rebuilds")
-            .Int(stats.full_rebuilds)
-            .EndObject();
-      }
-      writer.EndArray();
-      writer.EndObject();
+  ProblemEntry::Published snapshot;
+  for (ProblemEntry* entry : Entries()) {
+    {
+      fc::MutexLock lock(&entry->published_mutex);
+      snapshot = entry->published;
     }
+    total += snapshot.requests;
+    writer.BeginObject()
+        .Key("name")
+        .String(entry->name)
+        .Key("objects")
+        .Int(snapshot.objects)
+        .Key("epoch")
+        .Int(static_cast<std::int64_t>(snapshot.epoch))
+        .Key("plane_rows_rebuilt")
+        .Int(snapshot.plane_rows_rebuilt)
+        .Key("requests")
+        .Int(snapshot.requests);
+    writer.Key("latency")
+        .BeginObject()
+        .Key("count")
+        .Int(entry->latency.count())
+        .Key("p50_ms")
+        .Number(entry->latency.p50() * 1e3)
+        .Key("p99_ms")
+        .Number(entry->latency.p99() * 1e3)
+        .EndObject();
+    writer.Key("engines").BeginArray();
+    for (const auto& [key, stats] : snapshot.engines) {
+      writer.BeginObject()
+          .Key("objective")
+          .String(key)
+          .Key("evaluations")
+          .Int(stats.evaluations)
+          .Key("cache_hits")
+          .Int(stats.cache_hits)
+          .Key("probes")
+          .Int(stats.probes)
+          .Key("commits")
+          .Int(stats.commits)
+          .Key("cache_evictions")
+          .Int(stats.cache_evictions)
+          .Key("full_rebuilds")
+          .Int(stats.full_rebuilds)
+          .EndObject();
+    }
+    writer.EndArray();
+    writer.EndObject();
   }
   writer.EndArray();
   writer.Key("total_requests").Int(total);
@@ -714,11 +758,9 @@ std::string PlanningService::StatsJson() const {
 
 std::int64_t PlanningService::total_requests() const {
   std::int64_t total = 0;
-  fc::MutexLock lock(&registry_mutex_);
-  for (const auto& kv : problems_) {
-    ProblemEntry* entry = kv.second.get();
-    fc::MutexLock run_lock(&entry->run_mutex);
-    total += entry->requests;
+  for (ProblemEntry* entry : Entries()) {
+    fc::MutexLock lock(&entry->published_mutex);
+    total += entry->published.requests;
   }
   return total;
 }

@@ -25,10 +25,13 @@
 //    "seed":N?, "mc_samples":N?, "with_trajectory":BOOL?,
 //    "deadline_ms":D?}
 //       -> {"ok":true,"op":"plan","problem":NAME,"requests":N,
-//           "result":{...PlanResult JSON...}}
-//     Defaults mirror the CLI (`objective` falls back to the algorithm's
-//     native kind, trajectory on), so a plan response is bit-identical
-//     to the equivalent one-shot `factcheck_cli run --json` — the
+//           "epoch":E,"result":{...PlanResult JSON...}}
+//     `epoch` is the problem's mutation epoch the plan ran against (the
+//     same counter update and /stats report); it sits outside `result`
+//     so the result stays the one-shot document.  Defaults mirror the
+//     CLI (`objective` falls back to the algorithm's native kind,
+//     trajectory on), so a plan response's `result` is bit-identical to
+//     the equivalent one-shot `factcheck_cli run --json` — the
 //     equivalence suite in tests/serve_test.cc pins this.  A positive
 //     deadline_ms is a cooperative wall-clock budget: it is polled at
 //     greedy-round boundaries, an expired request comes back as
@@ -79,6 +82,15 @@
 // multiset, total evaluations equal the number of distinct sets probed
 // and cache_hits equal probes minus that, independent of arrival order —
 // the service_scaling bench gates on exactly those counters.
+//
+// /stats never waits behind a plan: every run-mutex section (plan on
+// success, error and deadline paths; update on every return path;
+// register; changelog restore) ends by publishing the problem's counters
+// into a snapshot under a leaf lock, and StatsJson reads only those
+// snapshots.  Publishing happens before the response is built, so a
+// client that got a plan or update answer sees it in its next /stats
+// (read-your-writes).  Registrations serialize on their own mutex, so a
+// snapshot write to disk never holds the registry mutex either.
 
 #ifndef FACTCHECK_SERVE_SERVICE_H_
 #define FACTCHECK_SERVE_SERVICE_H_
@@ -86,7 +98,9 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/planner.h"
@@ -134,7 +148,10 @@ class PlanningService {
   // JSON response (never throws, never aborts on malformed input).
   std::string HandleLine(const std::string& line);
 
-  // The /stats document:
+  // The /stats document, built from the snapshots each problem publishes
+  // at the end of every run-mutex section; it takes no run mutex, so it
+  // answers while plans run and shows each problem as of its last
+  // completed request:
   //   {"problems":[{"name":..,"objects":..,"epoch":..,
   //     "plane_rows_rebuilt":..,"requests":..,
   //     "latency":{"count":..,"p50_ms":..,"p99_ms":..},
@@ -147,8 +164,17 @@ class PlanningService {
   //      "faults_injected":..,"fsyncs":..}}
   std::string StatsJson() const;
 
-  // Total successful plan requests across all problems (test hook).
+  // Total successful plan requests across all problems (test hook; reads
+  // the published snapshots, like StatsJson).
   std::int64_t total_requests() const;
+
+  // Test seam: when non-null, every plan polls `token` as its deadline
+  // instead of the request's deadline_ms, so a test can cancel a run at an
+  // exact poll or park it inside its run-mutex section.  Set it before
+  // traffic starts; `token` must outlive its use.
+  void SetPlanCancelForTest(CancelToken* token) {
+    plan_cancel_for_test_ = token;
+  }
 
   // Failure-path telemetry (serve/counters.h).  The transport calls
   // CountShed per refused connection; an in-process RequestSession can
@@ -175,7 +201,8 @@ class PlanningService {
     // Serializes plan execution and updates on this problem: the
     // persistent engines below are single-writer, `problem` is
     // single-mutator, and the serialized section is also where the
-    // request counter and latency histogram are updated.
+    // request counter and latency histogram are updated and where the
+    // section's last step publishes the /stats snapshot below.
     fc::Mutex run_mutex;
     // One engine per objective — "minvar", or "maxpr@<tau>" since the
     // MaxPr objective bakes in the threshold.  The engine's retained
@@ -194,6 +221,25 @@ class PlanningService {
     std::int64_t log_records FC_GUARDED_BY(run_mutex) = 0;
     LatencyHistogram latency;  // internally synchronized (serve/stats.h)
 
+    // What /stats reports for this problem, as of the end of the last
+    // run-mutex section.
+    struct Published {
+      int objects = 0;
+      std::uint64_t epoch = 0;
+      std::int64_t plane_rows_rebuilt = 0;
+      std::int64_t requests = 0;
+      std::vector<std::pair<std::string, EngineStats>> engines;  // by key
+    };
+    // Leaf lock: taken after run_mutex by Publish and alone by readers,
+    // and never held across anything that blocks.
+    fc::Mutex published_mutex FC_ACQUIRED_AFTER(run_mutex);
+    Published published FC_GUARDED_BY(published_mutex);
+
+    // Copies the guarded counters into `published`.  Every run-mutex
+    // section calls it before its response is built.  Steady state
+    // allocates nothing: a key is copied only when the engine set changed.
+    void Publish() FC_REQUIRES(run_mutex);
+
     ProblemEntry(std::string name_in, CleaningProblem problem_in,
                  std::vector<int> refs, std::vector<double> coeffs)
         : name(std::move(name_in)),
@@ -203,6 +249,9 @@ class PlanningService {
 
   ProblemEntry* FindEntry(const std::string& name) const
       FC_EXCLUDES(registry_mutex_);
+  // Every registered entry in name order, copied under the registry mutex
+  // (entries are never removed, so the pointers stay valid).
+  std::vector<ProblemEntry*> Entries() const FC_EXCLUDES(registry_mutex_);
   EvalEngine* EngineFor(ProblemEntry* entry, ObjectiveKind kind, double tau)
       FC_REQUIRES(entry->run_mutex);
 
@@ -212,17 +261,21 @@ class PlanningService {
 
   struct ApplyOutcome {
     bool ok = false;
+    bool replayed = false;
     std::uint64_t epoch = 0;
     int objects = 0;
   };
-  // Validates `deltas` all-or-nothing against a scratch copy, applies
-  // them to the live problem, advances the sequence cursor, and persists
-  // when a store is attached.  ok=false + diagnostic on a validation
-  // reject (nothing applied) or a persistence failure (applied in
-  // memory; the diagnostic says so).
-  ApplyOutcome ApplyValidated(ProblemEntry* entry,
-                              const std::vector<ProblemDelta>& deltas,
-                              std::string* error)
+  // The update verb's run-mutex section.  Rejects an expired `deadline`
+  // and an `idempotency_seq` ahead of the cursor, acknowledges one behind
+  // it as a replay, and otherwise validates `deltas` all-or-nothing
+  // against a scratch copy, applies them to the live problem, advances the
+  // sequence cursor, and persists when a store is attached.  ok=false +
+  // diagnostic on a reject (nothing applied) or a persistence failure
+  // (applied in memory; the diagnostic says so).
+  ApplyOutcome ApplyUpdate(ProblemEntry* entry,
+                           const std::vector<ProblemDelta>& deltas,
+                           std::optional<std::int64_t> idempotency_seq,
+                           const CancelToken* deadline, std::string* error)
       FC_REQUIRES(entry->run_mutex);
 
   // Appends `deltas` (already applied in memory, already assigned
@@ -245,9 +298,15 @@ class PlanningService {
   mutable fc::Mutex registry_mutex_;
   std::map<std::string, std::unique_ptr<ProblemEntry>> problems_
       FC_GUARDED_BY(registry_mutex_);
+  // Serializes every insertion into problems_ (RegisterProblem and the
+  // EnablePersistence restore), so a name checked free under the registry
+  // mutex is still free at the insert while the snapshot write in between
+  // holds only this mutex.
+  fc::Mutex register_mutex_ FC_ACQUIRED_BEFORE(registry_mutex_);
   // Non-null once EnablePersistence succeeds; never reset while serving.
   std::unique_ptr<ChangelogStore> store_;
   RobustnessCounters robustness_;
+  CancelToken* plan_cancel_for_test_ = nullptr;
 };
 
 }  // namespace serve

@@ -5,7 +5,9 @@
 // consistent, bounded-admission overload shedding, the update
 // idempotency contract RequestSession retries lean on, and the
 // journal-overrun full-rebuild fallback for streams past the problem's
-// delta-journal capacity.
+// delta-journal capacity; and the non-blocking /stats contract: stats
+// answers while a plan holds its problem's run mutex, and shows every
+// answered request (read-your-writes).
 //
 // Carries the `stress` label: the socket and drain tests are TSan
 // targets.
@@ -15,7 +17,10 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <condition_variable>
 #include <cstring>
+#include <filesystem>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -105,6 +110,10 @@ std::int64_t RobustnessStat(PlanningService& service, const std::string& key) {
   JsonValue stats = ParseOk(service.HandleLine("{\"op\":\"stats\"}"));
   return static_cast<std::int64_t>(
       stats.Find("stats")->Find("robustness")->Find(key)->number());
+}
+
+const JsonValue& ProblemStats(const JsonValue& stats_response, size_t index) {
+  return stats_response.Find("stats")->Find("problems")->array()[index];
 }
 
 std::string TestSocket(const char* tag) {
@@ -434,9 +443,11 @@ TEST(PlanningService, JournalOverrunFallsBackToFullRebuild) {
   }
 
   JsonValue replanned = ParseOk(service.HandleLine(plan));
+  EXPECT_EQ(replanned.Find("epoch")->number(), 300.0);
   // The overrun was detected and the memo flushed wholesale, exactly
-  // once, on the one warm engine.
+  // once, on the one warm engine — visible in the very next stats.
   JsonValue stats = ParseOk(service.HandleLine("{\"op\":\"stats\"}"));
+  EXPECT_EQ(ProblemStats(stats, 0).Find("epoch")->number(), 300.0);
   const std::vector<JsonValue>& engines = stats.Find("stats")
                                               ->Find("problems")
                                               ->array()[0]
@@ -449,6 +460,187 @@ TEST(PlanningService, JournalOverrunFallsBackToFullRebuild) {
   ParseOk(oracle.HandleLine(RegisterLine("p", data::ProblemToCsv(mutated))));
   EXPECT_EQ(CleanedOf(replanned),
             CleanedOf(ParseOk(oracle.HandleLine(plan))));
+}
+
+// --- Non-blocking stats ---------------------------------------------------
+
+// A cancel token that parks the first plan polling it — inside the
+// planner, so inside that problem's run-mutex section — until the test
+// releases it.  Never cancels.
+class ParkingToken : public CancelToken {
+ public:
+  bool Cancelled() const override {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (!parked_) {
+      parked_ = true;
+      cv_.notify_all();
+      cv_.wait(lock, [this] { return released_; });
+    }
+    return false;
+  }
+  void AwaitParked() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return parked_; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  mutable std::mutex mu_;
+  mutable std::condition_variable cv_;
+  mutable bool parked_ = false;
+  bool released_ = false;
+};
+
+// The control plane never waits behind a plan: while a plan on "p" is
+// parked holding p's run mutex, stats, total_requests, registration and
+// a plan and update on another problem all answer, and stats shows p as
+// of its last completed request.  Before snapshots were published this
+// deadlocked: StatsJson took every run mutex.
+TEST(PlanningService, StatsAnswersWhileAPlanHoldsTheRunMutex) {
+  const std::string csv = data::ProblemToCsv(MakeProblem());
+  PlanningService service;
+  ParseOk(service.HandleLine(RegisterLine("p", csv)));
+  ParseOk(service.HandleLine(RegisterLine("q", csv)));
+  ParseOk(service.HandleLine(PlanLine("p", 3.0)));
+  const JsonValue before = ParseOk(service.HandleLine("{\"op\":\"stats\"}"));
+
+  ParkingToken token;
+  service.SetPlanCancelForTest(&token);
+  std::string parked_response;
+  std::thread parked(
+      [&] { parked_response = service.HandleLine(PlanLine("p", 3.0)); });
+  token.AwaitParked();
+
+  JsonValue during = ParseOk(service.HandleLine("{\"op\":\"stats\"}"));
+  EXPECT_EQ(during.Find("stats")->Find("total_requests")->number(), 1.0);
+  EXPECT_EQ(ProblemStats(during, 0).Find("name")->string(), "p");
+  EXPECT_EQ(ProblemStats(during, 0).Find("requests")->number(), 1.0);
+  EXPECT_EQ(
+      ProblemStats(during, 0).Find("engines")->array()[0].Find("cache_hits")
+          ->number(),
+      ProblemStats(before, 0).Find("engines")->array()[0].Find("cache_hits")
+          ->number());
+  EXPECT_EQ(service.total_requests(), 1);
+  ParseOk(service.HandleLine(PlanLine("q", 3.0)));
+  ParseOk(service.HandleLine(
+      "{\"op\":\"update\",\"problem\":\"q\",\"deltas\":[" +
+      DeltaJson(ProblemDelta::SetCost(0, 2.0)) + "]}"));
+  ParseOk(service.HandleLine(RegisterLine("r", csv)));
+  JsonValue still = ParseOk(service.HandleLine("{\"op\":\"stats\"}"));
+  EXPECT_EQ(still.Find("stats")->Find("problems")->array().size(), 3u);
+  EXPECT_EQ(ProblemStats(still, 1).Find("epoch")->number(), 1.0);
+  EXPECT_EQ(service.total_requests(), 2);
+
+  token.Release();
+  parked.join();
+  JsonValue plan = ParseOk(parked_response);
+  EXPECT_EQ(plan.Find("requests")->number(), 2.0);
+  JsonValue after = ParseOk(service.HandleLine("{\"op\":\"stats\"}"));
+  EXPECT_EQ(ProblemStats(after, 0).Find("requests")->number(), 2.0);
+  EXPECT_EQ(service.total_requests(), 3);
+}
+
+// Every answered request is visible in the next stats: a plan's counters
+// and epoch, an update's epoch, a rejected update's unchanged epoch, and
+// the evaluations of a plan its deadline cancelled mid-run.
+TEST(PlanningService, StatsReadsYourWrites) {
+  const std::string csv = data::ProblemToCsv(MakeProblem(8));
+  PlanningService service;
+  ParseOk(service.HandleLine(RegisterLine("p", csv)));
+
+  JsonValue plan = ParseOk(service.HandleLine(PlanLine("p", 3.0)));
+  EXPECT_EQ(plan.Find("epoch")->number(), 0.0);
+  JsonValue stats = ParseOk(service.HandleLine("{\"op\":\"stats\"}"));
+  EXPECT_EQ(ProblemStats(stats, 0).Find("requests")->number(), 1.0);
+  const JsonValue& engine = ProblemStats(stats, 0).Find("engines")->array()[0];
+  const JsonValue* plan_stats = plan.Find("result")->Find("stats");
+  for (const char* key : {"evaluations", "probes", "commits"}) {
+    EXPECT_EQ(engine.Find(key)->number(), plan_stats->Find(key)->number())
+        << key;
+  }
+  // The trajectory after the run adds memo hits the result's stats miss.
+  EXPECT_GE(engine.Find("cache_hits")->number(),
+            plan_stats->Find("cache_hits")->number());
+
+  JsonValue update = ParseOk(service.HandleLine(
+      "{\"op\":\"update\",\"problem\":\"p\",\"deltas\":[" +
+      DeltaJson(ProblemDelta::SetCost(0, 2.0)) + "," +
+      DeltaJson(ProblemDelta::SetCost(1, 0.5)) + "]}"));
+  EXPECT_EQ(update.Find("epoch")->number(), 2.0);
+  EXPECT_EQ(ProblemStats(ParseOk(service.HandleLine("{\"op\":\"stats\"}")), 0)
+                .Find("epoch")
+                ->number(),
+            2.0);
+  EXPECT_EQ(ParseOk(service.HandleLine(PlanLine("p", 3.0)))
+                .Find("epoch")
+                ->number(),
+            2.0);
+
+  // A validation reject (the second delta names no object) applies
+  // nothing and publishes the unchanged epoch.
+  std::optional<JsonValue> rejected = JsonValue::Parse(service.HandleLine(
+      "{\"op\":\"update\",\"problem\":\"p\",\"deltas\":[" +
+      DeltaJson(ProblemDelta::SetCost(2, 2.0)) + "," +
+      DeltaJson(ProblemDelta::SetCost(99, 2.0)) + "]}"));
+  ASSERT_TRUE(rejected.has_value());
+  EXPECT_FALSE(rejected->Find("ok")->boolean());
+  stats = ParseOk(service.HandleLine("{\"op\":\"stats\"}"));
+  EXPECT_EQ(ProblemStats(stats, 0).Find("epoch")->number(), 2.0);
+  EXPECT_EQ(ProblemStats(stats, 0).Find("requests")->number(), 2.0);
+
+  // A deadline that expires after the first greedy round: the partial
+  // run's evaluations are published though the request failed, and they
+  // are fewer than a full run's.
+  ParseOk(service.HandleLine(RegisterLine("c", csv)));
+  CountdownToken countdown(2);  // the planner's entry check, round 1
+  service.SetPlanCancelForTest(&countdown);
+  std::optional<JsonValue> cancelled =
+      JsonValue::Parse(service.HandleLine(PlanLine("c", 3.0)));
+  service.SetPlanCancelForTest(nullptr);
+  ASSERT_TRUE(cancelled.has_value());
+  EXPECT_EQ(cancelled->Find("error")->string(), "deadline exceeded");
+  stats = ParseOk(service.HandleLine("{\"op\":\"stats\"}"));
+  const JsonValue& partial = ProblemStats(stats, 0);
+  ASSERT_EQ(partial.Find("name")->string(), "c");
+  EXPECT_EQ(partial.Find("requests")->number(), 0.0);
+  ASSERT_EQ(partial.Find("engines")->array().size(), 1u);
+  const double partial_evaluations =
+      partial.Find("engines")->array()[0].Find("evaluations")->number();
+  EXPECT_GT(partial_evaluations, 0.0);
+  EXPECT_EQ(RobustnessStat(service, "deadline_exceeded"), 1);
+
+  PlanningService fresh;
+  ParseOk(fresh.HandleLine(RegisterLine("c", csv)));
+  JsonValue full = ParseOk(fresh.HandleLine(PlanLine("c", 3.0)));
+  EXPECT_LT(partial_evaluations,
+            full.Find("result")->Find("stats")->Find("evaluations")->number());
+}
+
+// An update applied in memory whose persisting failed is an error
+// response, but the problem did change: the next stats shows its epoch.
+TEST(PlanningService, StatsShowsAnUpdateThatFailedToPersist) {
+  const std::string dir = "/tmp/fc_robust_unpersisted_" +
+                          std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  PlanningService service;
+  std::string error;
+  ASSERT_TRUE(service.EnablePersistence(dir, &error)) << error;
+  ParseOk(service.HandleLine(
+      RegisterLine("p", data::ProblemToCsv(MakeProblem()))));
+  std::filesystem::remove_all(dir);  // every later write fails
+  std::optional<JsonValue> response = JsonValue::Parse(service.HandleLine(
+      "{\"op\":\"update\",\"problem\":\"p\",\"deltas\":[" +
+      DeltaJson(ProblemDelta::SetCost(0, 2.0)) + "]}"));
+  ASSERT_TRUE(response.has_value());
+  EXPECT_NE(response->Find("error")->string().find("applied in memory"),
+            std::string::npos);
+  JsonValue stats = ParseOk(service.HandleLine("{\"op\":\"stats\"}"));
+  EXPECT_EQ(ProblemStats(stats, 0).Find("epoch")->number(), 1.0);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -13,6 +13,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -507,6 +509,119 @@ std::int64_t EpochOf(PlanningService& service, const std::string& name) {
   return -1;
 }
 
+// Planners, an updater and a stats poller on two problems at once.  Every
+// published counter is monotone across polls, and each planner's next
+// stats shows at least the request ordinal and epoch its plan answered
+// with (read-your-writes under concurrency).
+TEST(PlanningService, StatsPollsSeeMonotoneCountersUnderLoad) {
+  PlanningService service;
+  const std::vector<std::string> names = {"a", "b"};
+  for (const std::string& name : names) {
+    ParseOk(service.HandleLine(
+        RegisterLine(name, data::ProblemToCsv(MakeProblem(7)))));
+  }
+  constexpr int kPlanners = 3;
+  constexpr int kPlansEach = 12;
+  constexpr int kUpdates = 12;
+  std::atomic<int> failures{0};
+  std::atomic<bool> done{false};
+
+  // Reads one stats document into "problem/counter" and
+  // "problem/objective/counter" keys.
+  auto read_stats = [&service](std::map<std::string, double>* out) {
+    JsonValue stats = ParseOk(service.HandleLine("{\"op\":\"stats\"}"));
+    out->clear();
+    double total = 0.0;
+    for (const JsonValue& problem :
+         stats.Find("stats")->Find("problems")->array()) {
+      const std::string name = problem.Find("name")->string();
+      for (const char* key : {"epoch", "plane_rows_rebuilt", "requests"}) {
+        (*out)[name + "/" + key] = problem.Find(key)->number();
+      }
+      (*out)[name + "/latency_count"] =
+          problem.Find("latency")->Find("count")->number();
+      total += problem.Find("requests")->number();
+      for (const JsonValue& engine : problem.Find("engines")->array()) {
+        const std::string prefix =
+            name + "/" + engine.Find("objective")->string() + "/";
+        for (const char* key : {"evaluations", "cache_hits", "probes",
+                                "commits", "cache_evictions",
+                                "full_rebuilds"}) {
+          (*out)[prefix + key] = engine.Find(key)->number();
+        }
+      }
+    }
+    EXPECT_EQ(stats.Find("stats")->Find("total_requests")->number(), total);
+  };
+  // Engines are never dropped, so every earlier key is still present.
+  auto expect_monotone = [](const std::map<std::string, double>& previous,
+                            const std::map<std::string, double>& current) {
+    for (const auto& [key, value] : previous) {
+      auto it = current.find(key);
+      ASSERT_TRUE(it != current.end()) << key;
+      EXPECT_GE(it->second, value) << key;
+    }
+  };
+
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kPlanners; ++t) {
+    threads.emplace_back([&, t] {
+      std::map<std::string, double> previous, seen;
+      for (int r = 0; r < kPlansEach; ++r) {
+        const std::string& name = names[(t + r) % names.size()];
+        const std::string algo = r % 3 == 0 ? "greedy_maxpr" : "greedy_minvar";
+        std::optional<JsonValue> response =
+            JsonValue::Parse(service.HandleLine(PlanLine(name, algo, 3.0)));
+        if (!response.has_value() || !response->Find("ok")->boolean()) {
+          ++failures;
+          continue;
+        }
+        read_stats(&seen);
+        expect_monotone(previous, seen);
+        EXPECT_GE(seen[name + "/requests"],
+                  response->Find("requests")->number());
+        EXPECT_GE(seen[name + "/epoch"], response->Find("epoch")->number());
+        previous.swap(seen);
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    for (int u = 0; u < kUpdates; ++u) {
+      const std::string& name = names[u % names.size()];
+      std::optional<JsonValue> response = JsonValue::Parse(service.HandleLine(
+          UpdateLine(name, "[" +
+                               DeltaJson(ProblemDelta::ReplaceDistribution(
+                                   u % 7, DiscreteDistribution(
+                                              {1.0, 20.0 + u}, {0.5, 0.5}))) +
+                               "]")));
+      if (!response.has_value() || !response->Find("ok")->boolean()) {
+        ++failures;
+      }
+    }
+  });
+  int polls = 0;
+  std::thread poller([&] {
+    std::map<std::string, double> previous, current;
+    bool last = false;
+    while (!last) {
+      last = done.load();
+      read_stats(&current);
+      expect_monotone(previous, current);
+      previous.swap(current);
+      ++polls;
+    }
+  });
+  for (std::thread& thread : threads) thread.join();
+  done.store(true);
+  poller.join();
+
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GE(polls, 1);
+  EXPECT_EQ(service.total_requests(), kPlanners * kPlansEach);
+  EXPECT_EQ(EpochOf(service, "a"), kUpdates / 2);
+  EXPECT_EQ(EpochOf(service, "b"), kUpdates / 2);
+}
+
 // The stale-cache regression this PR fixes: a problem mutation between
 // two plans on the same session engine must force re-evaluation, and the
 // re-planned selection must be bit-identical to a cold service planning
@@ -519,6 +634,7 @@ TEST(PlanningService, MutationBetweenPlansReEvaluates) {
   JsonValue first = ParseOk(service.HandleLine(line));
   JsonValue warm = ParseOk(service.HandleLine(line));
   EXPECT_EQ(StatOf(warm, "evaluations"), StatOf(first, "evaluations"));
+  EXPECT_EQ(first.Find("epoch")->number(), 0.0);
 
   // Blow up object 0's uncertainty; the optimal selection changes.
   DiscreteDistribution wide({0.0, 60.0}, {0.5, 0.5});
@@ -529,6 +645,7 @@ TEST(PlanningService, MutationBetweenPlansReEvaluates) {
   EXPECT_EQ(updated.Find("objects")->number(), problem.size());
 
   JsonValue replanned = ParseOk(service.HandleLine(line));
+  EXPECT_EQ(replanned.Find("epoch")->number(), 1.0);
   // Before the epoch protocol the warm memo served the pre-mutation
   // values: evaluations stayed frozen and the selection was stale.
   EXPECT_GT(StatOf(replanned, "evaluations"), StatOf(warm, "evaluations"));
@@ -654,6 +771,8 @@ TEST(PlanningService, RestartFromChangelogIsBitIdentical) {
   std::string error;
   ASSERT_TRUE(restarted.EnablePersistence(dir, &error)) << error;
   EXPECT_TRUE(restarted.HasProblem("p"));
+  // The restore published the replayed state: three deltas, three epochs.
+  EXPECT_EQ(EpochOf(restarted, "p"), 3);
   // Re-registering the restored name is still a duplicate.
   std::optional<JsonValue> dup = JsonValue::Parse(restarted.HandleLine(
       RegisterLine("p", data::ProblemToCsv(problem))));
@@ -742,6 +861,47 @@ TEST(PlanningService, PersistenceRefusesACorruptChangelog) {
   std::string error;
   EXPECT_FALSE(restarted.EnablePersistence(dir, &error));
   EXPECT_FALSE(error.empty());
+  std::filesystem::remove_all(dir);
+}
+
+// With persistence on, a register writes its snapshot only for a new
+// name: a duplicate is refused before anything touches disk, and a failed
+// snapshot write leaves the name unregistered and free to register again.
+TEST(PlanningService, RegisterPersistsOnlyANewName) {
+  const std::string dir = TestChangelogDir("register");
+  std::filesystem::remove_all(dir);
+  auto read_file = [](const std::string& path) {
+    std::ifstream in(path);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  PlanningService service;
+  std::string error;
+  ASSERT_TRUE(service.EnablePersistence(dir, &error)) << error;
+  ParseOk(service.HandleLine(
+      RegisterLine("p", data::ProblemToCsv(MakeProblem()))));
+  const std::string snapshot = read_file(dir + "/p.snapshot");
+  ASSERT_FALSE(snapshot.empty());
+
+  std::optional<JsonValue> dup = JsonValue::Parse(service.HandleLine(
+      RegisterLine("p", data::ProblemToCsv(MakeProblem(9)))));
+  ASSERT_TRUE(dup.has_value());
+  EXPECT_NE(dup->Find("error")->string().find("already registered"),
+            std::string::npos);
+  EXPECT_EQ(read_file(dir + "/p.snapshot"), snapshot);
+
+  std::filesystem::remove_all(dir);  // the next snapshot write fails
+  std::optional<JsonValue> failed = JsonValue::Parse(service.HandleLine(
+      RegisterLine("q", data::ProblemToCsv(MakeProblem()))));
+  ASSERT_TRUE(failed.has_value());
+  EXPECT_FALSE(failed->Find("ok")->boolean());
+  EXPECT_FALSE(service.HasProblem("q"));
+  JsonValue stats = ParseOk(service.HandleLine("{\"op\":\"stats\"}"));
+  EXPECT_EQ(stats.Find("stats")->Find("problems")->array().size(), 1u);
+
+  std::filesystem::create_directories(dir);
+  ParseOk(service.HandleLine(
+      RegisterLine("q", data::ProblemToCsv(MakeProblem()))));
+  EXPECT_TRUE(service.HasProblem("q"));
   std::filesystem::remove_all(dir);
 }
 
