@@ -95,8 +95,8 @@ int main() {
         table.AddCell(n)
             .AddCell(algo)
             .AddCell(static_cast<int>(cell.result.selection.cleaned.size()))
-            .AddCell(static_cast<long>(cell.evaluations))
-            .AddCell(static_cast<long>(cell.probes))
+            .AddCell(static_cast<long>(cell.result.stats.evaluations))
+            .AddCell(static_cast<long>(cell.result.stats.probes))
             .AddCell(secs)
             .AddCell(secs > 0.0 ? batch.result.wall_seconds / secs : 0.0)
             .AddCell(cell.result.selection.cleaned ==

@@ -54,7 +54,7 @@ constexpr char kUsage[] =
     "  --threads N / --lazy      engine options, as for run\n"
     "  --mc-samples N            Monte Carlo sample count (default 200)\n"
     "  --no-objective            skip scoring the selected sets\n"
-    "  --json FILE               write factcheck.bench.v1 JSON (\"-\" =\n"
+    "  --json FILE               write factcheck.bench.v2 JSON (\"-\" =\n"
     "                            stdout) instead of the TSV table\n";
 
 struct RunArgs {
@@ -430,9 +430,9 @@ int BenchRunCommand(int argc, char** argv) {
         .AddCell(cell.budget)
         .AddCell(static_cast<int>(cell.result.selection.cleaned.size()))
         .AddCell(cell.wall_ms)
-        .AddCell(static_cast<long>(cell.evaluations))
-        .AddCell(static_cast<long>(cell.probes))
-        .AddCell(static_cast<long>(cell.kernel_calls))
+        .AddCell(static_cast<long>(cell.result.stats.evaluations))
+        .AddCell(static_cast<long>(cell.result.stats.probes))
+        .AddCell(static_cast<long>(cell.result.stats.kernel_calls))
         .AddCell(cell.has_objective ? FormatCell(cell.objective)
                                     : std::string("-"));
     table.EndRow();

@@ -16,7 +16,7 @@
 // `bench` drives the experiment subsystem (src/exp): `list-workloads`
 // prints the registered workload catalogue, `run` sweeps one workload
 // through the ExperimentRunner and prints a TSV table or writes the
-// factcheck.bench.v1 JSON document (--json FILE, "-" for stdout).
+// factcheck.bench.v2 JSON document (--json FILE, "-" for stdout).
 
 #ifndef FACTCHECK_CLI_CLI_H_
 #define FACTCHECK_CLI_CLI_H_

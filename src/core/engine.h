@@ -108,52 +108,140 @@ enum class OptimizeDirection { kMinimize, kMaximize };
 // cost changes never touch objective values and evict nothing.
 enum class CacheDependency { kAllObjects, kCleanedSubset };
 
+// Every work counter the engine and its holders report, as one named set.
+// The fields carry no documentation of their own: each is declared once
+// more, with its meaning and its bench-gate policy, as a row of
+// kEngineCounters below, and every serializer, parser and delta loops
+// that table.  Adding a counter means one field here, one row there, and
+// the code that increments it.
 struct EngineStats {
-  std::int64_t evaluations = 0;  // full-objective invocations (cache misses;
-                                 // incremental Reset counts as one)
-  std::int64_t cache_hits = 0;   // lookups served from the memo table
-  std::int64_t probes = 0;       // incremental marginal-gain probes
-  std::int64_t commits = 0;      // incremental set extensions committed
-  // Bytes of canonical-key data fed through a hash function (full-key
-  // FNV-1a for the exact-key fallback, per-element mixing for the
-  // incremental signature).  The batch hot loop hashes 4 bytes per probe
-  // plus one base pass per round; the pre-signature engine hashed the
-  // whole key per probe.
+  std::int64_t evaluations = 0;
+  std::int64_t cache_hits = 0;
+  std::int64_t probes = 0;
+  std::int64_t commits = 0;
   std::int64_t key_bytes_hashed = 0;
-  // SoA convolution-kernel work (dist/kernels.h): number of flat-kernel
-  // invocations and atoms written by them.  Deterministic and
-  // machine-independent, so the bench baselines gate on them; zero on
-  // paths that never touch the kernels (e.g. knapsack algorithms).
   std::int64_t kernel_calls = 0;
   std::int64_t kernel_atoms = 0;
-  // Memo entries evicted by the epoch downdating of a bound engine (see
-  // BindProblem) — selective evictions and full flushes both count every
-  // dropped entry.  Zero on unbound engines.
   std::int64_t cache_evictions = 0;
-  // Plan requests served by a serve::PlanningService session (the engine
-  // itself never touches this — the service's aggregated stats and the
-  // closed-loop service_scaling bench report through it).  Zero outside
-  // the serving path.
-  std::int64_t requests = 0;
-  // Distribution-plane rows repacked by the problem this engine ran
-  // against (CleaningProblem::plane_rows_rebuilt; filled by holders, like
-  // `requests`) — the partial-rebuild meter of the streaming-delta path.
   std::int64_t plane_rows_rebuilt = 0;
-  // Journal-overrun fallbacks: how many times SyncEpoch found the bound
-  // problem's delta journal no longer reaching this engine's stamp and
-  // fell back to a full memo flush (the degradation path the >256-delta
-  // serving test pins).  Selective downdates do NOT count here.
+  std::int64_t requests = 0;
   std::int64_t full_rebuilds = 0;
-  // Robustness counters of the serving failure paths (filled by holders,
-  // like `requests` — the engine itself never touches them; the
-  // degraded_scaling bench reports them for BENCH_robust.json):
-  // shed connections, deadline-cancelled requests, client-session
-  // retries, and deterministic injected faults (util/fault.h).
   std::int64_t sheds = 0;
   std::int64_t deadline_exceeded = 0;
   std::int64_t retries = 0;
   std::int64_t faults_injected = 0;
 };
+
+// How tools/compare_bench.py gates a counter of a bench cell against the
+// baseline's (the policy travels in each bench document's
+// "counter_gates"):
+//   * kMonotone — any increase is a regression, a decrease an improvement;
+//   * kExact    — any drift, either direction, is a regression;
+//   * kInfo     — recorded, never gated.
+enum class CounterGate { kMonotone, kExact, kInfo };
+
+// "monotone" / "exact" / "info", as bench documents spell the gate.
+constexpr const char* CounterGateName(CounterGate gate) {
+  return gate == CounterGate::kMonotone ? "monotone"
+         : gate == CounterGate::kExact  ? "exact"
+                                        : "info";
+}
+
+// Who increments a counter: the EvalEngine itself (kEngine; /stats
+// reports these per engine), or the code holding it (kHolder: the claims
+// evaluator's kernel counters, the service's request count, the serving
+// workloads' robustness counts), which fills them into the EngineStats it
+// returns.
+enum class CounterSource { kEngine, kHolder };
+
+struct CounterSpec {
+  const char* name;  // JSON key in plan results, /stats and bench cells
+  CounterGate gate;
+  CounterSource source;
+  std::int64_t EngineStats::*field;
+};
+
+inline constexpr CounterSpec kEngineCounters[] = {
+    // Full-objective invocations (cache misses; an incremental Reset
+    // counts as one).
+    {"evaluations", CounterGate::kMonotone, CounterSource::kEngine,
+     &EngineStats::evaluations},
+    // Lookups served from the memo table.  Exact: fewer hits means lost
+    // cross-request reuse, more under identical evaluations means the
+    // workload changed shape.
+    {"cache_hits", CounterGate::kExact, CounterSource::kEngine,
+     &EngineStats::cache_hits},
+    // Incremental marginal-gain probes.
+    {"probes", CounterGate::kMonotone, CounterSource::kEngine,
+     &EngineStats::probes},
+    // Incremental set extensions committed.
+    {"commits", CounterGate::kInfo, CounterSource::kEngine,
+     &EngineStats::commits},
+    // Bytes of canonical-key data fed through a hash function (full-key
+    // FNV-1a for the exact-key fallback, per-element mixing for the
+    // incremental signature).  The batch hot loop hashes 4 bytes per
+    // probe plus one base pass per round; the pre-signature engine hashed
+    // the whole key per probe.
+    {"key_bytes_hashed", CounterGate::kInfo, CounterSource::kEngine,
+     &EngineStats::key_bytes_hashed},
+    // SoA convolution-kernel work (dist/kernels.h): flat-kernel
+    // invocations and the atoms they wrote.  Deterministic and
+    // machine-independent; zero on paths that never touch the kernels
+    // (e.g. knapsack algorithms).
+    {"kernel_calls", CounterGate::kMonotone, CounterSource::kHolder,
+     &EngineStats::kernel_calls},
+    {"kernel_atoms", CounterGate::kMonotone, CounterSource::kHolder,
+     &EngineStats::kernel_atoms},
+    // Memo entries evicted by the epoch downdating of a bound engine (see
+    // BindProblem); selective evictions and full flushes both count every
+    // dropped entry.  Zero on unbound engines.  Exact: more means coarser
+    // downdating, fewer means entries survived that should not have.
+    {"cache_evictions", CounterGate::kExact, CounterSource::kEngine,
+     &EngineStats::cache_evictions},
+    // Distribution-plane rows repacked by the problem this engine ran
+    // against (CleaningProblem::plane_rows_rebuilt): the partial-rebuild
+    // meter of the streaming-delta path, pinned to the number of mutated
+    // rows.
+    {"plane_rows_rebuilt", CounterGate::kExact, CounterSource::kHolder,
+     &EngineStats::plane_rows_rebuilt},
+    // Plan requests served by a serve::PlanningService session (the
+    // service's plan responses and the serving workloads).  Zero outside
+    // the serving path.
+    {"requests", CounterGate::kExact, CounterSource::kHolder,
+     &EngineStats::requests},
+    // Journal-overrun fallbacks: how many times SyncEpoch found the bound
+    // problem's delta journal no longer reaching this engine's stamp and
+    // fell back to a full memo flush.  Selective downdates do not count.
+    {"full_rebuilds", CounterGate::kInfo, CounterSource::kEngine,
+     &EngineStats::full_rebuilds},
+    // Robustness counters of the serving failure paths (the
+    // degraded_scaling workload reports them): shed connections,
+    // deadline-cancelled requests, client-session retries and
+    // deterministic injected faults (util/fault.h).  Exact for a fixed
+    // fault schedule.
+    {"sheds", CounterGate::kExact, CounterSource::kHolder, &EngineStats::sheds},
+    {"deadline_exceeded", CounterGate::kExact, CounterSource::kHolder,
+     &EngineStats::deadline_exceeded},
+    {"retries", CounterGate::kExact, CounterSource::kHolder,
+     &EngineStats::retries},
+    {"faults_injected", CounterGate::kExact, CounterSource::kHolder,
+     &EngineStats::faults_injected},
+};
+
+// A field without a row would be silently dropped by every loop.
+static_assert(sizeof(EngineStats) ==
+                  sizeof(kEngineCounters) / sizeof(kEngineCounters[0]) *
+                      sizeof(std::int64_t),
+              "every EngineStats field needs a kEngineCounters row");
+
+// Counter-wise `after - before`: the work done between two snapshots of
+// one engine's lifetime stats.
+inline EngineStats operator-(EngineStats after, const EngineStats& before) {
+  for (const CounterSpec& counter : kEngineCounters) {
+    after.*counter.field -= before.*counter.field;
+  }
+  return after;
+}
 
 class EvalEngine {
  public:

@@ -30,16 +30,9 @@ void PlanResult::WriteJson(JsonWriter& writer) const {
   for (double v : trajectory) writer.Number(v);
   writer.EndArray();
   writer.Key("stats").BeginObject();
-  writer.Key("evaluations").Int(stats.evaluations);
-  writer.Key("cache_hits").Int(stats.cache_hits);
-  writer.Key("probes").Int(stats.probes);
-  writer.Key("commits").Int(stats.commits);
-  writer.Key("key_bytes_hashed").Int(stats.key_bytes_hashed);
-  writer.Key("kernel_calls").Int(stats.kernel_calls);
-  writer.Key("kernel_atoms").Int(stats.kernel_atoms);
-  writer.Key("cache_evictions").Int(stats.cache_evictions);
-  writer.Key("plane_rows_rebuilt").Int(stats.plane_rows_rebuilt);
-  writer.Key("requests").Int(stats.requests);
+  for (const CounterSpec& counter : kEngineCounters) {
+    writer.Key(counter.name).Int(stats.*counter.field);
+  }
   writer.EndObject();
   writer.Key("wall_ms").Number(wall_seconds * 1e3);
   writer.EndObject();

@@ -41,9 +41,9 @@ struct PlanResult {
   //   {"algorithm":..,"objective":..,
   //    "selection":{"cleaned":[..],"order":[..],"labels":[..],"cost":..},
   //    "objective_value":..|null,"trajectory":[..],
-  //    "stats":{"evaluations":..,"cache_hits":..,"probes":..,
-  //             "commits":..,"key_bytes_hashed":..,"kernel_calls":..,
-  //             "kernel_atoms":..,"requests":..},"wall_ms":..}
+  //    "stats":{COUNTER:..,...},"wall_ms":..}
+  // where the stats object holds one integer per kEngineCounters row
+  // (core/engine.h), in table order.
   std::string ToJson() const;
 
   // Streams the same object into an open writer (for aggregating many

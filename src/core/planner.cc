@@ -374,6 +374,9 @@ std::optional<PlanResult> Planner::TryPlan(const PlanRequest& request,
     result.trajectory = trajectory_engine.EvaluateBatch(prefixes);
     result.objective_value = result.trajectory.back();
     result.has_objective_value = true;
+    // A session engine's stats are its lifetime counters: report them as
+    // of the end of this request, trajectory lookups included.
+    if (shared_engine) result.stats = trajectory_engine.stats();
   }
   return result;
 }

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "util/check.h"
+#include "util/fault.h"
 #include "util/json.h"
 
 namespace factcheck {
@@ -14,6 +15,26 @@ bool SetError(std::string* error, const std::string& message) {
   if (error != nullptr) *error = message;
   return false;
 }
+
+// GCC defines __SANITIZE_*__; Clang reports sanitizers via __has_feature.
+#if !defined(__has_feature)
+#define FC_HAS_FEATURE(x) 0
+#else
+#define FC_HAS_FEATURE(x) __has_feature(x)
+#endif
+#if defined(__SANITIZE_ADDRESS__) || FC_HAS_FEATURE(address_sanitizer)
+constexpr char kSanitizer[] = "address";
+#elif defined(__SANITIZE_THREAD__) || FC_HAS_FEATURE(thread_sanitizer)
+constexpr char kSanitizer[] = "thread";
+#else
+constexpr char kSanitizer[] = "none";
+#endif
+
+#if defined(NDEBUG)
+constexpr bool kNdebug = true;
+#else
+constexpr bool kNdebug = false;
+#endif
 
 double Median(std::vector<double> values) {
   FC_CHECK(!values.empty());
@@ -98,19 +119,6 @@ std::optional<ExperimentCell> ExperimentRunner::TryRunCell(
   double sum = 0.0;
   for (double v : wall_ms) sum += v;
   cell.wall_ms_mean = sum / static_cast<double>(wall_ms.size());
-  cell.evaluations = cell.result.stats.evaluations;
-  cell.cache_hits = cell.result.stats.cache_hits;
-  cell.cache_evictions = cell.result.stats.cache_evictions;
-  cell.probes = cell.result.stats.probes;
-  cell.commits = cell.result.stats.commits;
-  cell.kernel_calls = cell.result.stats.kernel_calls;
-  cell.kernel_atoms = cell.result.stats.kernel_atoms;
-  cell.plane_rows_rebuilt = cell.result.stats.plane_rows_rebuilt;
-  cell.requests = cell.result.stats.requests;
-  cell.sheds = cell.result.stats.sheds;
-  cell.deadline_exceeded = cell.result.stats.deadline_exceeded;
-  cell.retries = cell.result.stats.retries;
-  cell.faults_injected = cell.result.stats.faults_injected;
 
   if (with_objective) {
     if (workload.metric != nullptr) {
@@ -232,19 +240,11 @@ void WriteCellJson(const ExperimentCell& cell, JsonWriter& writer) {
   writer.Key("wall_ms").Number(cell.wall_ms);
   writer.Key("wall_ms_min").Number(cell.wall_ms_min);
   writer.Key("wall_ms_mean").Number(cell.wall_ms_mean);
-  writer.Key("evaluations").Int(cell.evaluations);
-  writer.Key("cache_hits").Int(cell.cache_hits);
-  writer.Key("cache_evictions").Int(cell.cache_evictions);
-  writer.Key("probes").Int(cell.probes);
-  writer.Key("commits").Int(cell.commits);
-  writer.Key("kernel_calls").Int(cell.kernel_calls);
-  writer.Key("kernel_atoms").Int(cell.kernel_atoms);
-  writer.Key("plane_rows_rebuilt").Int(cell.plane_rows_rebuilt);
-  writer.Key("requests").Int(cell.requests);
-  writer.Key("sheds").Int(cell.sheds);
-  writer.Key("deadline_exceeded").Int(cell.deadline_exceeded);
-  writer.Key("retries").Int(cell.retries);
-  writer.Key("faults_injected").Int(cell.faults_injected);
+  writer.Key("counters").BeginObject();
+  for (const CounterSpec& counter : kEngineCounters) {
+    writer.Key(counter.name).Int(cell.result.stats.*counter.field);
+  }
+  writer.EndObject();
   writer.Key("picked").Int(
       static_cast<std::int64_t>(cell.result.selection.cleaned.size()));
   writer.Key("cost").Number(cell.result.selection.cost);
@@ -289,6 +289,22 @@ void WriteExperimentJson(const ExperimentSpec& spec,
   writer.Key("threads").Int(spec.engine.threads);
   writer.Key("lazy").Bool(spec.engine.lazy);
   writer.Key("mc_samples").Int(spec.engine.mc_samples);
+  writer.EndObject();
+  // Provenance: counters replay only against a baseline of the same
+  // build, so compare_bench.py refuses a baseline whose block differs.
+  writer.Key("build")
+      .BeginObject()
+      .Key("fault_injection")
+      .Bool(fault::Enabled())
+      .Key("sanitizer")
+      .String(kSanitizer)
+      .Key("ndebug")
+      .Bool(kNdebug)
+      .EndObject();
+  writer.Key("counter_gates").BeginObject();
+  for (const CounterSpec& counter : kEngineCounters) {
+    writer.Key(counter.name).String(CounterGateName(counter.gate));
+  }
   writer.EndObject();
   writer.Key("results").BeginArray();
   for (const ExperimentCell& cell : cells) WriteCellJson(cell, writer);

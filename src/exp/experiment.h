@@ -6,17 +6,13 @@
 // registry and aggregates each cell into min/mean/median wall-clock,
 // EngineStats counters, and the workload metric of the selected set.
 //
-// Cells serialize via util/json in the stable `factcheck.bench.v1` schema
-// (one flat object per cell with keys workload / algo / seed / budget /
-// budget_fraction / threads / lazy / repetitions / wall_ms / wall_ms_min /
-// wall_ms_mean / evaluations / cache_hits / cache_evictions / probes /
-// commits / kernel_calls / kernel_atoms / plane_rows_rebuilt / requests /
-// sheds / deadline_exceeded / retries / faults_injected /
-// picked / cost / objective),
-// which is what
-// the BENCH_*.json perf-trajectory
-// artifacts, the CI bench-smoke job, and the tools/compare_bench.py
-// counter-regression gate consume.  Non-finite numbers serialize as null.
+// Documents serialize via util/json in the `factcheck.bench.v2` schema
+// (see WriteExperimentJson): the run's spec, the build that produced it,
+// the gate policy of every counter, and one object per cell whose
+// "counters" member holds one integer per kEngineCounters row
+// (core/engine.h).  The BENCH_*.json perf-trajectory artifacts, the CI
+// bench-smoke job, and the tools/compare_bench.py counter-regression gate
+// consume it.  Non-finite numbers serialize as null.
 
 #ifndef FACTCHECK_EXP_EXPERIMENT_H_
 #define FACTCHECK_EXP_EXPERIMENT_H_
@@ -37,7 +33,7 @@ class JsonWriter;
 
 namespace exp {
 
-inline constexpr char kBenchSchema[] = "factcheck.bench.v1";
+inline constexpr char kBenchSchema[] = "factcheck.bench.v2";
 
 struct ExperimentSpec {
   std::string workload;     // WorkloadRegistry name
@@ -70,27 +66,13 @@ struct ExperimentCell {
   double wall_ms = 0.0;      // median over the timed repetitions
   double wall_ms_min = 0.0;
   double wall_ms_mean = 0.0;
-  std::int64_t evaluations = 0;  // EngineStats of the last repetition
-  std::int64_t cache_hits = 0;
-  std::int64_t cache_evictions = 0;  // memo entries downdated by deltas
-  std::int64_t probes = 0;   // incremental marginal-gain probes
-  std::int64_t commits = 0;  // incremental set extensions committed
-  std::int64_t kernel_calls = 0;  // SoA convolution-kernel invocations
-  std::int64_t kernel_atoms = 0;  // atoms written by those kernels
-  std::int64_t plane_rows_rebuilt = 0;  // partial plane-rebuild row count
-  std::int64_t requests = 0;  // plan requests served (serving workloads)
-  // Robustness counters (serve/counters.h), filled by the degraded
-  // serving workloads; 0 elsewhere.  Deterministic for a fixed fault
-  // schedule — compare_bench.py pins them exactly.
-  std::int64_t sheds = 0;
-  std::int64_t deadline_exceeded = 0;
-  std::int64_t retries = 0;
-  std::int64_t faults_injected = 0;
 
   double objective = 0.0;  // workload metric of the selected set
   bool has_objective = false;
 
-  PlanResult result;  // full result of the last repetition
+  // Full result of the last repetition; result.stats are the cell's
+  // counters.
+  PlanResult result;
 };
 
 class ExperimentRunner {
@@ -126,6 +108,7 @@ class ExperimentRunner {
 };
 
 // Streams the schema document: {"schema": ..., "spec": {...},
+// "build": {...}, "counter_gates": {COUNTER: GATE, ...},
 // "results": [cell, ...]}.
 void WriteExperimentJson(const ExperimentSpec& spec,
                          const std::vector<ExperimentCell>& cells,
@@ -133,7 +116,7 @@ void WriteExperimentJson(const ExperimentSpec& spec,
 std::string ExperimentJson(const ExperimentSpec& spec,
                            const std::vector<ExperimentCell>& cells);
 
-// One flat cell object (exposed for tests and ad-hoc aggregation).
+// One cell object (exposed for tests and ad-hoc aggregation).
 void WriteCellJson(const ExperimentCell& cell, JsonWriter& writer);
 
 }  // namespace exp

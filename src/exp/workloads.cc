@@ -320,6 +320,83 @@ Selection SelectionFromResponse(const serve::JsonValue& result) {
   return out;
 }
 
+// The counters of a plan result's "stats" object, one per kEngineCounters
+// row (a key the result lacks reads 0).
+EngineStats StatsFromResponse(const serve::JsonValue& result) {
+  const serve::JsonValue* stats = result.Find("stats");
+  FC_CHECK(stats != nullptr);
+  EngineStats out;
+  for (const CounterSpec& counter : kEngineCounters) {
+    if (const serve::JsonValue* value = stats->Find(counter.name)) {
+      out.*counter.field = static_cast<std::int64_t>(value->number());
+    }
+  }
+  return out;
+}
+
+// The gates' plan request against their registered "bench" problem.
+std::string BenchPlanLine(double budget,
+                          std::optional<double> deadline_ms = std::nullopt) {
+  JsonWriter request;
+  request.BeginObject()
+      .Key("op")
+      .String("plan")
+      .Key("problem")
+      .String("bench")
+      .Key("algo")
+      .String("greedy_minvar")
+      .Key("budget")
+      .Number(budget);
+  if (deadline_ms.has_value()) request.Key("deadline_ms").Number(*deadline_ms);
+  request.EndObject();
+  return request.str();
+}
+
+// The exact-enumeration instance of the serving and replan gates: n URx
+// objects with two-atom supports under an all-ones linear query over
+// every object, as a workload with no algorithms yet.
+Workload BinarySyntheticWorkload(const std::string& name,
+                                 const WorkloadOptions& options,
+                                 int default_size) {
+  const int size = SizeOrDefault(options, default_size);
+  auto problem = std::make_shared<const CleaningProblem>(data::MakeSynthetic(
+      data::SyntheticFamily::kUniformRandom, options.seed,
+      {.size = size, .min_support = 2, .max_support = 2}));
+  std::vector<int> refs(size);
+  for (int i = 0; i < size; ++i) refs[i] = i;
+  auto query = std::make_shared<const LinearQueryFunction>(
+      refs, std::vector<double>(size, 1.0));
+  Workload w;
+  w.name = name;
+  w.problem = problem;
+  w.query = query;
+  w.linear = query;
+  w.holders = {problem, query};
+  return w;
+}
+
+// A serving gate: the binary instance plus one algorithm that runs `loop`
+// against a service holding the problem's CSV.
+Workload ServingWorkload(const std::string& name,
+                         const WorkloadOptions& options, int default_size,
+                         const char* algo, const char* summary,
+                         Selection (*loop)(const std::string& csv,
+                                           const PlanContext& ctx)) {
+  Workload w = BinarySyntheticWorkload(name, options, default_size);
+  auto csv =
+      std::make_shared<const std::string>(data::ProblemToCsv(*w.problem));
+  w.holders.push_back(csv);
+  w.EnsureLocalRegistry().Register(
+      {.name = algo,
+       .summary = summary,
+       .objective = ObjectiveKind::kMinVar,
+       .uses_objective = true,
+       .run = [csv, loop](const PlanContext& ctx) {
+         return loop(*csv, ctx);
+       }});
+  return w;
+}
+
 // The closed loop: an in-process PlanningService with the workload's
 // problem registered once, hammered by kServeClients threads issuing
 // kServeRequestsPerClient identical plan requests each, plus one final
@@ -339,18 +416,7 @@ Selection RunServeLoop(const std::string& csv, const PlanContext& ctx) {
   bool registered = service.RegisterProblem("bench", csv, {}, {}, &error);
   FC_CHECK(registered);
 
-  JsonWriter request;
-  request.BeginObject()
-      .Key("op")
-      .String("plan")
-      .Key("problem")
-      .String("bench")
-      .Key("algo")
-      .String("greedy_minvar")
-      .Key("budget")
-      .Number(ctx.request.budget)
-      .EndObject();
-  const std::string line = request.str();
+  const std::string line = BenchPlanLine(ctx.request.budget);
 
   std::vector<std::string> responses(kServeClients * kServeRequestsPerClient);
   std::vector<std::thread> clients;
@@ -382,19 +448,7 @@ Selection RunServeLoop(const std::string& csv, const PlanContext& ctx) {
   }
 
   if (ctx.greedy.stats_out != nullptr) {
-    const serve::JsonValue* stats = result->Find("stats");
-    EngineStats out;
-    out.evaluations =
-        static_cast<std::int64_t>(stats->Find("evaluations")->number());
-    out.cache_hits =
-        static_cast<std::int64_t>(stats->Find("cache_hits")->number());
-    out.probes = static_cast<std::int64_t>(stats->Find("probes")->number());
-    out.commits = static_cast<std::int64_t>(stats->Find("commits")->number());
-    out.key_bytes_hashed = static_cast<std::int64_t>(
-        stats->Find("key_bytes_hashed")->number());
-    out.requests =
-        static_cast<std::int64_t>(stats->Find("requests")->number());
-    *ctx.greedy.stats_out = out;
+    *ctx.greedy.stats_out = StatsFromResponse(*result);
   }
   return selection;
 }
@@ -406,32 +460,11 @@ Selection RunServeLoop(const std::string& csv, const PlanContext& ctx) {
 // path, so the checked-in baseline records the one-shot cost next to the
 // amortized serving cost.
 Workload BuildServiceScaling(const WorkloadOptions& options) {
-  int size = SizeOrDefault(options, 12);
-  auto problem = std::make_shared<const CleaningProblem>(data::MakeSynthetic(
-      data::SyntheticFamily::kUniformRandom, options.seed,
-      {.size = size, .min_support = 2, .max_support = 2}));
-  std::vector<int> refs(size);
-  for (int i = 0; i < size; ++i) refs[i] = i;
-  auto query = std::make_shared<const LinearQueryFunction>(
-      refs, std::vector<double>(size, 1.0));
-  auto csv = std::make_shared<const std::string>(data::ProblemToCsv(*problem));
-
-  Workload w;
-  w.name = "service_scaling";
-  w.problem = problem;
-  w.query = query;
-  w.linear = query;
+  Workload w = ServingWorkload(
+      "service_scaling", options, 12, "serve_loop",
+      "closed-loop PlanningService clients on one warm engine", RunServeLoop);
   w.default_algorithms = {"serve_loop", "greedy_minvar"};
   w.default_budget_fractions = {0.15, 0.30};
-  w.holders = {problem, query, csv};
-  w.EnsureLocalRegistry().Register(
-      {.name = "serve_loop",
-       .summary = "closed-loop PlanningService clients on one warm engine",
-       .objective = ObjectiveKind::kMinVar,
-       .uses_objective = true,
-       .run = [csv](const PlanContext& ctx) {
-         return RunServeLoop(*csv, ctx);
-       }});
   return w;
 }
 
@@ -480,18 +513,7 @@ Selection RunDegradedLoop(const std::string& csv, const PlanContext& ctx) {
   session_options.counters = &service.robustness();
   serve::RequestSession session(session_options);
 
-  JsonWriter plan_request;
-  plan_request.BeginObject()
-      .Key("op")
-      .String("plan")
-      .Key("problem")
-      .String("bench")
-      .Key("algo")
-      .String("greedy_minvar")
-      .Key("budget")
-      .Number(ctx.request.budget)
-      .EndObject();
-  const std::string plan_line = plan_request.str();
+  const std::string plan_line = BenchPlanLine(ctx.request.budget);
 
   auto call_ok = [&](const std::string& line) {
     std::string response;
@@ -553,22 +575,10 @@ Selection RunDegradedLoop(const std::string& csv, const PlanContext& ctx) {
   // Born-expired deadlines: rejected at the planner's entry check before
   // any greedy work; the memo must stay untouched (the final plan below
   // re-verifies against the oracle).
-  JsonWriter expired_request;
-  expired_request.BeginObject()
-      .Key("op")
-      .String("plan")
-      .Key("problem")
-      .String("bench")
-      .Key("algo")
-      .String("greedy_minvar")
-      .Key("budget")
-      .Number(ctx.request.budget)
-      .Key("deadline_ms")
-      .Number(0)
-      .EndObject();
+  const std::string expired_line = BenchPlanLine(ctx.request.budget, 0.0);
   for (int i = 0; i < 2; ++i) {
     std::string response;
-    bool delivered = session.Call(expired_request.str(), &response, &error);
+    bool delivered = session.Call(expired_line, &response, &error);
     FC_CHECK(delivered);  // a deadline rejection is a response, not a loss
     std::optional<serve::JsonValue> parsed =
         serve::JsonValue::Parse(response, &error);
@@ -607,17 +617,7 @@ Selection RunDegradedLoop(const std::string& csv, const PlanContext& ctx) {
 
   const std::int64_t injected = fault::InjectedCount();
   if (ctx.greedy.stats_out != nullptr) {
-    const serve::JsonValue* stats =
-        final_response.Find("result")->Find("stats");
-    EngineStats out;
-    out.evaluations =
-        static_cast<std::int64_t>(stats->Find("evaluations")->number());
-    out.cache_hits =
-        static_cast<std::int64_t>(stats->Find("cache_hits")->number());
-    out.probes = static_cast<std::int64_t>(stats->Find("probes")->number());
-    out.commits = static_cast<std::int64_t>(stats->Find("commits")->number());
-    out.requests =
-        static_cast<std::int64_t>(stats->Find("requests")->number());
+    EngineStats out = StatsFromResponse(*final_response.Find("result"));
     out.sheds = service.robustness().sheds.load();
     out.deadline_exceeded = service.robustness().deadline_exceeded.load();
     out.retries = session.stats().retries;
@@ -633,33 +633,12 @@ Selection RunDegradedLoop(const std::string& csv, const PlanContext& ctx) {
 // thirteen-plus plan round-trips stay cheap: the point of the cell is
 // the failure counters, not the selection cost.
 Workload BuildDegradedScaling(const WorkloadOptions& options) {
-  int size = SizeOrDefault(options, 10);
-  auto problem = std::make_shared<const CleaningProblem>(data::MakeSynthetic(
-      data::SyntheticFamily::kUniformRandom, options.seed,
-      {.size = size, .min_support = 2, .max_support = 2}));
-  std::vector<int> refs(size);
-  for (int i = 0; i < size; ++i) refs[i] = i;
-  auto query = std::make_shared<const LinearQueryFunction>(
-      refs, std::vector<double>(size, 1.0));
-  auto csv = std::make_shared<const std::string>(data::ProblemToCsv(*problem));
-
-  Workload w;
-  w.name = "degraded_scaling";
-  w.problem = problem;
-  w.query = query;
-  w.linear = query;
+  Workload w = ServingWorkload(
+      "degraded_scaling", options, 10, "degraded_loop",
+      "scripted faults, deadlines, and shedding against a live socket server",
+      RunDegradedLoop);
   w.default_algorithms = {"degraded_loop"};
   w.default_budget_fractions = {0.25};
-  w.holders = {problem, query, csv};
-  w.EnsureLocalRegistry().Register(
-      {.name = "degraded_loop",
-       .summary = "scripted faults, deadlines, and shedding against a "
-                  "live socket server",
-       .objective = ObjectiveKind::kMinVar,
-       .uses_objective = true,
-       .run = [csv](const PlanContext& ctx) {
-         return RunDegradedLoop(*csv, ctx);
-       }});
   return w;
 }
 
@@ -719,54 +698,29 @@ Selection RunReplanCell(const CleaningProblem& base,
   const Selection scratch = fresh.PlainGreedy(costs, ctx.request.budget);
   FC_CHECK(scratch.cleaned == warm.cleaned);
   FC_CHECK(scratch.order == warm.order);
-  const std::int64_t warm_evaluations =
-      after.evaluations - before.evaluations;
-  FC_CHECK_LT(warm_evaluations, fresh.stats().evaluations);
+  const EngineStats warm_cost = after - before;
+  FC_CHECK_LT(warm_cost.evaluations, fresh.stats().evaluations);
   FC_CHECK_LE(rows_rebuilt, touched);
 
   if (ctx.greedy.stats_out != nullptr) {
-    EngineStats out;
-    if (report_warm) {
-      // The warm-phase deltas: what the replan itself cost.
-      out.evaluations = warm_evaluations;
-      out.cache_hits = after.cache_hits - before.cache_hits;
-      out.cache_evictions = after.cache_evictions - before.cache_evictions;
-      out.probes = after.probes - before.probes;
-      out.commits = after.commits - before.commits;
-      out.plane_rows_rebuilt = rows_rebuilt;
-    } else {
-      // The from-scratch cost of the same replan, for the baseline to
-      // record next to the warm columns.
-      out = fresh.stats();
-      out.plane_rows_rebuilt = 0;
-    }
+    // The warm-phase deltas (what the replan itself cost), or the
+    // from-scratch cost of the same replan for the baseline to record
+    // next to the warm columns.
+    EngineStats out = report_warm ? warm_cost : fresh.stats();
+    out.plane_rows_rebuilt = report_warm ? rows_rebuilt : 0;
     *ctx.greedy.stats_out = out;
   }
   return warm;
 }
 
 Workload BuildReplanScaling(const WorkloadOptions& options) {
-  int size = SizeOrDefault(options, 32);
-  auto problem = std::make_shared<const CleaningProblem>(data::MakeSynthetic(
-      data::SyntheticFamily::kUniformRandom, options.seed,
-      {.size = size, .min_support = 2, .max_support = 2}));
-  std::vector<int> refs(size);
-  for (int i = 0; i < size; ++i) refs[i] = i;
-  auto query = std::make_shared<const LinearQueryFunction>(
-      refs, std::vector<double>(size, 1.0));
+  Workload w = BinarySyntheticWorkload("replan_scaling", options, 32);
   const double tau = GammaOrDefault(options, 25.0);
-
-  Workload w;
-  w.name = "replan_scaling";
-  w.problem = problem;
-  w.query = query;
-  w.linear = query;
   w.objective = ObjectiveKind::kMaxPr;
   w.tau = tau;
   w.default_algorithms = {"replan_cold", "replan_warm_1", "replan_warm_4",
                           "replan_warm_8"};
   w.default_budget_fractions = {0.25};
-  w.holders = {problem, query};
   AlgorithmRegistry& local = w.EnsureLocalRegistry();
   struct Column {
     const char* name;
@@ -787,7 +741,8 @@ Workload BuildReplanScaling(const WorkloadOptions& options) {
          .summary = column.summary,
          .objective = ObjectiveKind::kMaxPr,
          .uses_objective = false,
-         .run = [problem, query, tau, touched = column.touched,
+         .run = [problem = w.problem, query = w.linear, tau,
+                 touched = column.touched,
                  warm = column.warm](const PlanContext& ctx) {
            return RunReplanCell(*problem, *query, tau, touched, warm, ctx);
          }});

@@ -1,6 +1,8 @@
 #include "serve/service.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <utility>
 
 #include "core/ev.h"
@@ -42,6 +44,39 @@ bool ReadNumber(const JsonValue& request, const std::string& key, bool* found,
   }
   *out = value->number();
   return true;
+}
+
+// Integers travel as JSON numbers (IEEE doubles), which hold every
+// integer up to 2^53 exactly.
+constexpr std::int64_t kMaxExactInteger = std::int64_t{1} << 53;
+
+// Converts an integral JSON number in [min, max] (bounds within ±2^53, so
+// the comparisons are exact); false (with a diagnostic naming `what`) on a
+// non-number, a fraction, or an out-of-range value — a cast would be
+// undefined behaviour there.
+bool ToInteger(const JsonValue& value, const std::string& what,
+               std::int64_t min, std::int64_t max, std::int64_t* out,
+               std::string* error) {
+  const double x = value.is_number()
+                       ? value.number()
+                       : std::numeric_limits<double>::quiet_NaN();
+  if (!(x >= static_cast<double>(min) && x <= static_cast<double>(max)) ||
+      x != std::floor(x)) {
+    *error = "\"" + what + "\" must be an integer in [" +
+             std::to_string(min) + ", " + std::to_string(max) + "]";
+    return false;
+  }
+  *out = static_cast<std::int64_t>(x);
+  return true;
+}
+
+// Reads an optional integer member in [min, max] (see ToInteger).
+bool ReadInteger(const JsonValue& request, const std::string& key,
+                 std::int64_t min, std::int64_t max, bool* found,
+                 std::int64_t* out, std::string* error) {
+  const JsonValue* value = request.Find(key);
+  *found = value != nullptr;
+  return value == nullptr || ToInteger(*value, key, min, max, out, error);
 }
 
 bool ReadBool(const JsonValue& request, const std::string& key,
@@ -309,10 +344,12 @@ std::string PlanningService::HandleRegister(const JsonValue& request) {
   if (const JsonValue* value = request.Find("refs")) {
     if (!value->is_array()) return ErrorResponse("\"refs\" must be an array");
     for (const JsonValue& item : value->array()) {
-      if (!item.is_number()) {
-        return ErrorResponse("\"refs\" must hold integers");
+      std::int64_t ref = 0;
+      if (!ToInteger(item, "refs[" + std::to_string(refs.size()) + "]", 0,
+                     std::numeric_limits<int>::max(), &ref, &error)) {
+        return ErrorResponse(error);
       }
-      refs.push_back(static_cast<int>(item.number()));
+      refs.push_back(static_cast<int>(ref));
     }
   }
   std::vector<double> coeffs;
@@ -411,19 +448,18 @@ std::string PlanningService::HandlePlan(const JsonValue& request) {
     return ErrorResponse(error);
   }
   plan.tau = tau;
-  double seed = 0.0;
-  if (!ReadNumber(request, "seed", &found, &seed, &error)) {
+  std::int64_t seed = 0;
+  if (!ReadInteger(request, "seed", 0, kMaxExactInteger, &found, &seed,
+                   &error)) {
     return ErrorResponse(error);
   }
   if (found) plan.engine.seed = static_cast<std::uint64_t>(seed);
-  double mc_samples = 0.0;
-  if (!ReadNumber(request, "mc_samples", &found, &mc_samples, &error)) {
+  std::int64_t mc_samples = 0;
+  if (!ReadInteger(request, "mc_samples", 1, std::numeric_limits<int>::max(),
+                   &found, &mc_samples, &error)) {
     return ErrorResponse(error);
   }
-  if (found) {
-    if (mc_samples < 1) return ErrorResponse("\"mc_samples\" must be >= 1");
-    plan.engine.mc_samples = static_cast<int>(mc_samples);
-  }
+  if (found) plan.engine.mc_samples = static_cast<int>(mc_samples);
   if (!ReadBool(request, "lazy", false, &plan.engine.lazy, &error) ||
       !ReadBool(request, "with_trajectory", true, &plan.with_trajectory,
                 &error)) {
@@ -512,16 +548,18 @@ std::string PlanningService::HandleUpdate(const JsonValue& request) {
     }
     deltas.push_back(std::move(delta));
   }
+  // Sequence numbers start at 1 (see the protocol comment in service.h).
   bool has_idem = false;
-  double idem_seq = 0.0;
-  if (!ReadNumber(request, "idempotency_seq", &has_idem, &idem_seq, &error)) {
+  std::int64_t idem_seq = 0;
+  if (!ReadInteger(request, "idempotency_seq", 1, kMaxExactInteger,
+                   &has_idem, &idem_seq, &error)) {
     return ErrorResponse(error);
   }
   std::optional<DeadlineToken> deadline;
   if (!ReadDeadline(request, &deadline, &error)) return ErrorResponse(error);
 
   std::optional<std::int64_t> idempotency_seq;
-  if (has_idem) idempotency_seq = static_cast<std::int64_t>(idem_seq);
+  if (has_idem) idempotency_seq = idem_seq;
   ApplyOutcome outcome;
   {
     fc::MutexLock lock(&entry->run_mutex);
@@ -713,22 +751,12 @@ std::string PlanningService::StatsJson() const {
         .EndObject();
     writer.Key("engines").BeginArray();
     for (const auto& [key, stats] : snapshot.engines) {
-      writer.BeginObject()
-          .Key("objective")
-          .String(key)
-          .Key("evaluations")
-          .Int(stats.evaluations)
-          .Key("cache_hits")
-          .Int(stats.cache_hits)
-          .Key("probes")
-          .Int(stats.probes)
-          .Key("commits")
-          .Int(stats.commits)
-          .Key("cache_evictions")
-          .Int(stats.cache_evictions)
-          .Key("full_rebuilds")
-          .Int(stats.full_rebuilds)
-          .EndObject();
+      writer.BeginObject().Key("objective").String(key);
+      for (const CounterSpec& counter : kEngineCounters) {
+        if (counter.source != CounterSource::kEngine) continue;
+        writer.Key(counter.name).Int(stats.*counter.field);
+      }
+      writer.EndObject();
     }
     writer.EndArray();
     writer.EndObject();

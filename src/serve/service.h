@@ -15,9 +15,10 @@
 //    "refs":[i,...]?, "coeffs":[a,...]?}
 //       -> {"ok":true,"op":"register","problem":NAME,"objects":n,
 //           "total_cost":C}
-//     refs/coeffs default to all objects with coefficient 1, exactly as
-//     the CLI does; re-registering a name is an error (a replaced
-//     problem would silently invalidate its engines' memos).
+//     refs items must be integers in [0, 2^31-1] naming objects of the
+//     problem.  refs/coeffs default to all objects with coefficient 1,
+//     exactly as the CLI does; re-registering a name is an error (a
+//     replaced problem would silently invalidate its engines' memos).
 //
 //   {"op":"plan","problem":NAME,"algo":ALGO,
 //    "budget":B | "budget_frac":F,
@@ -39,6 +40,13 @@
 //     discarded, and the session engine's memo stays consistent — the
 //     next plan is bit-identical to one on a never-deadlined service.
 //     deadline_ms <= 0 is born expired (deterministic shed knob).
+//     The result's "stats" holds one integer per kEngineCounters row
+//     (core/engine.h).  For an algorithm that ran on the session engine
+//     they are that engine's lifetime counters as of the end of this
+//     request, trajectory lookups included, so they equal the engine's
+//     counters in the next /stats; "requests" is the problem's plan
+//     count.  seed must be an integer in [0, 2^53] and mc_samples one in
+//     [1, 2^31-1].
 //
 //   {"op":"update","problem":NAME,"deltas":[{...},...],
 //    "idempotency_seq":S?, "deadline_ms":D?}
@@ -65,6 +73,8 @@
 //     "replayed":true and the CURRENT epoch/objects without re-applying;
 //     S > last_seq+1 is a sequence gap and is rejected.  Updates without
 //     the field are applied unconditionally (and are unsafe to retry).
+//     S must be an integer in [1, 2^53]: sequences start at 1, and a
+//     fraction or an out-of-range value is rejected, never rounded.
 //
 //   {"op":"stats"} -> {"ok":true,"op":"stats","stats":{...}}   (StatsJson)
 //   {"op":"ping"}  -> {"ok":true,"op":"ping"}
@@ -155,13 +165,15 @@ class PlanningService {
   //   {"problems":[{"name":..,"objects":..,"epoch":..,
   //     "plane_rows_rebuilt":..,"requests":..,
   //     "latency":{"count":..,"p50_ms":..,"p99_ms":..},
-  //     "engines":[{"objective":..,"evaluations":..,"cache_hits":..,
-  //                 "probes":..,"commits":..,"cache_evictions":..,
-  //                 "full_rebuilds":..}]}],
+  //     "engines":[{"objective":..,COUNTER:..,...}]}],
   //    "total_requests":..,
   //    "robustness":{"sheds":..,"deadline_exceeded":..,
   //      "idempotent_replays":..,"retries":..,"reconnects":..,
   //      "faults_injected":..,"fsyncs":..}}
+  // Each engine object carries one integer per kEngineCounters row the
+  // engine increments itself (CounterSource::kEngine in core/engine.h),
+  // in table order: evaluations, cache_hits, probes, commits,
+  // key_bytes_hashed, cache_evictions, full_rebuilds.
   std::string StatsJson() const;
 
   // Total successful plan requests across all problems (test hook; reads

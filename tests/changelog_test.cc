@@ -18,33 +18,12 @@
 #include "data/problem_io.h"
 #include "serve/changelog.h"
 #include "serve/json_value.h"
+#include "serve_fixtures.h"
 #include "util/json.h"
 
 namespace factcheck {
 namespace serve {
 namespace {
-
-CleaningProblem MakeProblem(int n = 5) {
-  std::vector<UncertainObject> objects;
-  objects.reserve(n);
-  for (int i = 0; i < n; ++i) {
-    UncertainObject object;
-    object.label = "o" + std::to_string(i);
-    object.current_value = 10.0 + i;
-    object.cost = 1.0 + 0.5 * (i % 2);
-    double mid = 10.0 + i;
-    object.dist =
-        DiscreteDistribution({mid - 1.0, mid, mid + 1.5}, {0.25, 0.5, 0.25});
-    objects.push_back(std::move(object));
-  }
-  return CleaningProblem(std::move(objects));
-}
-
-std::string DeltaJson(const ProblemDelta& delta) {
-  JsonWriter writer;
-  WriteDeltaJson(delta, writer);
-  return writer.str();
-}
 
 ProblemDelta RoundTrip(const ProblemDelta& delta) {
   std::string text = DeltaJson(delta);
@@ -148,7 +127,7 @@ TEST(DeltaJson, RejectsMalformedInputWithoutAborting) {
 // --- Snapshot codec ---------------------------------------------------------
 
 TEST(SnapshotCodec, RoundTripsProblemQueryAndSeq) {
-  CleaningProblem problem = MakeProblem(4);
+  CleaningProblem problem = MakeShiftedProblem(4);
   std::vector<int> refs = {0, 2, 3};
   std::vector<double> coeffs = {1.0, -0.5, 2.0};
   std::string text = EncodeSnapshot(problem, refs, coeffs, 17);
@@ -213,7 +192,7 @@ std::string LogText(const std::vector<ProblemDelta>& deltas,
 }
 
 TEST(Replay, AppliesRecordsInOrder) {
-  CleaningProblem problem = MakeProblem();
+  CleaningProblem problem = MakeShiftedProblem();
   CleaningProblem oracle = problem;
   for (const ProblemDelta& delta : SampleDeltas()) oracle.Apply(delta);
 
@@ -227,7 +206,7 @@ TEST(Replay, AppliesRecordsInOrder) {
 }
 
 TEST(Replay, EmptyLogIsANoOp) {
-  CleaningProblem problem = MakeProblem();
+  CleaningProblem problem = MakeShiftedProblem();
   std::int64_t last_seq = -1;
   std::string error;
   ASSERT_TRUE(ReplayChangelog("", 5, &problem, &last_seq, &error)) << error;
@@ -238,7 +217,7 @@ TEST(Replay, EmptyLogIsANoOp) {
 TEST(Replay, SkipsRecordsAtOrBelowTheSnapshotSeq) {
   // The compaction crash window: a snapshot at seq 2 with the old records
   // still in the log.  Only seq 3 may apply.
-  CleaningProblem problem = MakeProblem();
+  CleaningProblem problem = MakeShiftedProblem();
   CleaningProblem oracle = problem;
   oracle.Apply(SampleDeltas()[2]);
 
@@ -283,7 +262,7 @@ TEST(Replay, FailsClosedAndLeavesTheProblemUntouched) {
        good + EncodeLogRecord(4, ProblemDelta::RemoveObject(0)) + "\n"});
 
   for (const Case& c : cases) {
-    CleaningProblem problem = MakeProblem();
+    CleaningProblem problem = MakeShiftedProblem();
     const std::string before = data::ProblemToCsv(problem);
     std::int64_t last_seq = 0;
     std::string error;
@@ -316,7 +295,7 @@ TEST(ChangelogStore, SaveAppendLoadRoundTrips) {
   std::string error;
   ASSERT_TRUE(store.Init(&error)) << error;
 
-  CleaningProblem problem = MakeProblem(3);
+  CleaningProblem problem = MakeShiftedProblem(3);
   const std::string snap_b = EncodeSnapshot(problem, {0, 1}, {1.0, 1.0}, 0);
   const std::string snap_a = EncodeSnapshot(problem, {2}, {2.0}, 4);
   ASSERT_TRUE(store.SaveSnapshot("beta", snap_b, &error)) << error;
@@ -344,7 +323,7 @@ TEST(ChangelogStore, CompactionTruncatesTheLog) {
   ChangelogStore store(dir.path);
   std::string error;
   ASSERT_TRUE(store.Init(&error)) << error;
-  CleaningProblem problem = MakeProblem(3);
+  CleaningProblem problem = MakeShiftedProblem(3);
   ASSERT_TRUE(store.SaveSnapshot(
       "p", EncodeSnapshot(problem, {}, {}, 0), &error))
       << error;

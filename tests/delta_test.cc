@@ -16,25 +16,10 @@
 #include "core/problem.h"
 #include "dist/discrete.h"
 #include "dist/planes.h"
+#include "serve_fixtures.h"
 
 namespace factcheck {
 namespace {
-
-CleaningProblem MakeProblem(int n = 6) {
-  std::vector<UncertainObject> objects;
-  objects.reserve(n);
-  for (int i = 0; i < n; ++i) {
-    UncertainObject object;
-    object.label = "o" + std::to_string(i);
-    object.current_value = 10.0 + i;
-    object.cost = 1.0 + 0.25 * (i % 3);
-    double mid = 10.0 + i;
-    object.dist = DiscreteDistribution({mid - 1.0, mid, mid + 2.0 + 0.5 * i},
-                                       {0.25, 0.5, 0.25});
-    objects.push_back(std::move(object));
-  }
-  return CleaningProblem(std::move(objects));
-}
 
 UncertainObject MakeObject(const std::string& label) {
   UncertainObject object;

@@ -1,6 +1,6 @@
 // Suite for the experiment subsystem (src/exp): the workload registry
 // catalogue (golden list-workloads text), the ExperimentRunner contract
-// (aggregation, objective scoring, error paths), the factcheck.bench.v1
+// (aggregation, objective scoring, error paths), the factcheck.bench.v2
 // JSON schema consumed by CI's bench-smoke job, and cross-workload seed
 // determinism — every registered workload built twice with the same seed
 // yields bit-identical problems and Planner results, including with a
@@ -177,9 +177,10 @@ TEST(ExperimentRunner, ExactWorkloadScoresThroughTrajectory) {
   EXPECT_TRUE(quiet.result.trajectory.empty());
 }
 
-// The factcheck.bench.v1 schema the CI bench-smoke job asserts: a schema
-// tag, a spec block, and one flat object per cell with the documented
-// keys.
+// The factcheck.bench.v2 schema the CI bench-smoke job asserts: a schema
+// tag, a spec block, the build provenance, one gate per counter, and one
+// object per cell with the documented keys and a nested counters object
+// holding exactly the gated counters.
 TEST(ExperimentJson, SchemaKeys) {
   ExperimentRunner runner;
   ExperimentSpec spec;
@@ -188,7 +189,7 @@ TEST(ExperimentJson, SchemaKeys) {
   spec.budget_fractions = {0.1};
   std::vector<ExperimentCell> cells = runner.Run(spec);
   std::string json = exp::ExperimentJson(spec, cells);
-  EXPECT_EQ(json.find("{\"schema\":\"factcheck.bench.v1\",\"spec\":{"), 0u)
+  EXPECT_EQ(json.find("{\"schema\":\"factcheck.bench.v2\",\"spec\":{"), 0u)
       << json;
   // Spec block: the run's full parameterization (self-describing
   // artifacts); gamma defaults to null (NaN).
@@ -200,16 +201,26 @@ TEST(ExperimentJson, SchemaKeys) {
   }
   EXPECT_NE(json.find("\"gamma\":null"), std::string::npos) << json;
   for (const char* key :
+       {"\"build\":{\"fault_injection\":", "\"sanitizer\":",
+        "\"ndebug\":", "\"counter_gates\":{\"evaluations\":\"monotone\"",
+        "\"cache_hits\":\"exact\"", "\"commits\":\"info\""}) {
+    EXPECT_NE(json.find(key), std::string::npos) << key << " in " << json;
+  }
+  for (const char* key :
        {"\"workload\":", "\"algo\":", "\"budget\":", "\"budget_fraction\":",
         "\"seed\":", "\"threads\":", "\"lazy\":", "\"repetitions\":",
         "\"wall_ms\":", "\"wall_ms_min\":", "\"wall_ms_mean\":",
-        "\"evaluations\":", "\"cache_hits\":", "\"cache_evictions\":",
-        "\"probes\":", "\"commits\":", "\"kernel_calls\":",
-        "\"kernel_atoms\":", "\"plane_rows_rebuilt\":",
-        "\"requests\":", "\"sheds\":", "\"deadline_exceeded\":",
-        "\"retries\":", "\"faults_injected\":",
-        "\"picked\":", "\"cost\":", "\"objective\":"}) {
+        "\"counters\":{\"evaluations\":", "\"picked\":", "\"cost\":",
+        "\"objective\":"}) {
     EXPECT_NE(json.find(key), std::string::npos) << key << " in " << json;
+  }
+  // Every table row is both a document gate and a cell counter.
+  for (const CounterSpec& counter : kEngineCounters) {
+    const std::string key = std::string("\"") + counter.name + "\":";
+    const size_t gate = json.find(key + "\"" + CounterGateName(counter.gate));
+    const size_t cell = json.find(key, json.find("\"counters\":{"));
+    EXPECT_NE(gate, std::string::npos) << counter.name << " in " << json;
+    EXPECT_NE(cell, std::string::npos) << counter.name << " in " << json;
   }
   EXPECT_NE(json.find("\"workload\":\"urx_uniqueness\""), std::string::npos);
   EXPECT_NE(json.find("\"algo\":\"greedy_naive\""), std::string::npos);

@@ -418,11 +418,7 @@ TEST(SignatureCollision, GreedySelectsAndCountsIdenticallyUnderCollisions) {
 
 EngineStats SentinelStats() {
   EngineStats stats;
-  stats.evaluations = -7;
-  stats.cache_hits = -7;
-  stats.probes = -7;
-  stats.commits = -7;
-  stats.key_bytes_hashed = -7;
+  for (const CounterSpec& counter : kEngineCounters) stats.*counter.field = -7;
   return stats;
 }
 

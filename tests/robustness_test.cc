@@ -23,78 +23,13 @@
 #include "serve/changelog.h"
 #include "serve/json_value.h"
 #include "serve/service.h"
+#include "serve_fixtures.h"
 #include "util/fault.h"
 #include "util/json.h"
 
 namespace factcheck {
 namespace serve {
 namespace {
-
-CleaningProblem MakeProblem(int n = 5) {
-  std::vector<UncertainObject> objects;
-  objects.reserve(n);
-  for (int i = 0; i < n; ++i) {
-    UncertainObject object;
-    object.label = "o" + std::to_string(i);
-    object.current_value = 10.0 + i;
-    object.cost = 1.0 + 0.5 * (i % 2);
-    double mid = 10.0 + i;
-    object.dist =
-        DiscreteDistribution({mid - 1.0, mid, mid + 1.5}, {0.25, 0.5, 0.25});
-    objects.push_back(std::move(object));
-  }
-  return CleaningProblem(std::move(objects));
-}
-
-std::string DeltaJson(const ProblemDelta& delta) {
-  JsonWriter writer;
-  WriteDeltaJson(delta, writer);
-  return writer.str();
-}
-
-std::string UpdateLine(const std::string& name,
-                       const std::string& deltas_array) {
-  return "{\"op\":\"update\",\"problem\":\"" + name +
-         "\",\"deltas\":" + deltas_array + "}";
-}
-
-std::string RegisterLine(const std::string& name, const std::string& csv) {
-  JsonWriter writer;
-  writer.BeginObject()
-      .Key("op")
-      .String("register")
-      .Key("problem")
-      .String(name)
-      .Key("csv")
-      .String(csv)
-      .EndObject();
-  return writer.str();
-}
-
-std::string PlanLine(const std::string& name, double budget) {
-  return "{\"op\":\"plan\",\"problem\":\"" + name +
-         "\",\"algo\":\"greedy_minvar\",\"budget\":" + std::to_string(budget) +
-         "}";
-}
-
-JsonValue ParseOk(const std::string& response) {
-  std::string error;
-  std::optional<JsonValue> value = JsonValue::Parse(response, &error);
-  EXPECT_TRUE(value.has_value()) << error << " in " << response;
-  EXPECT_TRUE(value->Find("ok") != nullptr && value->Find("ok")->boolean())
-      << response;
-  return std::move(*value);
-}
-
-std::vector<int> CleanedOf(const JsonValue& plan_response) {
-  const JsonValue* cleaned =
-      plan_response.Find("result")->Find("selection")->Find("cleaned");
-  std::vector<int> out;
-  for (const JsonValue& item : cleaned->array()) {
-    out.push_back(static_cast<int>(item.number()));
-  }
-  return out;
-}
 
 std::string TestDir(const char* tag) {
   return "/tmp/fc_robust_" + std::string(tag) + "_" +
@@ -108,7 +43,7 @@ std::string TestDir(const char* tag) {
 // boundary load the complete records they hold; every other prefix has a
 // torn final line and must fail closed, leaving the problem untouched.
 TEST(CrashMatrix, ReplayTruncatedAtEveryByteFailsClosed) {
-  CleaningProblem base = MakeProblem();
+  CleaningProblem base = MakeShiftedProblem();
   const std::string base_csv = data::ProblemToCsv(base);
 
   std::string log;
@@ -193,7 +128,7 @@ TEST(FsyncPolicy, CountsTheExactSyscalls) {
     store.set_fsync_policy(c.policy);
     std::string error;
     ASSERT_TRUE(store.Init(&error)) << error;
-    CleaningProblem problem = MakeProblem();
+    CleaningProblem problem = MakeShiftedProblem();
     ASSERT_TRUE(store.SaveSnapshot(
         "p", EncodeSnapshot(problem, {0, 1}, {1.0, 1.0}, 0), &error))
         << error;
@@ -215,7 +150,7 @@ TEST(FsyncPolicy, CountsTheExactSyscalls) {
 TEST(FsyncPolicy, AckedUpdateSurvivesRestartUnderAlways) {
   const std::string dir = TestDir("always");
   std::filesystem::remove_all(dir);
-  CleaningProblem problem = MakeProblem();
+  CleaningProblem problem = MakeShiftedProblem();
   const std::string plan = PlanLine("p", 3.0);
   std::vector<int> live_cleaned;
   {
@@ -249,7 +184,7 @@ TEST(CrashMatrix, TornAppendReconcilesThroughTheSnapshot) {
   fault::DisarmAll();
   const std::string dir = TestDir("torn");
   std::filesystem::remove_all(dir);
-  CleaningProblem problem = MakeProblem();
+  CleaningProblem problem = MakeShiftedProblem();
   const std::string plan = PlanLine("p", 3.0);
   std::vector<int> live_cleaned;
   {
@@ -298,7 +233,7 @@ TEST(CrashMatrix, TotalDiskFailureSurfacesInTheResponse) {
   fault::DisarmAll();
   const std::string dir = TestDir("enospc");
   std::filesystem::remove_all(dir);
-  CleaningProblem problem = MakeProblem();
+  CleaningProblem problem = MakeShiftedProblem();
   PlanningService service;
   std::string error;
   ASSERT_TRUE(service.EnablePersistence(dir, &error)) << error;

@@ -39,72 +39,13 @@
 #include "serve/json_value.h"
 #include "serve/server.h"
 #include "serve/service.h"
+#include "serve_fixtures.h"
 #include "util/cancel.h"
 #include "util/json.h"
 
 namespace factcheck {
 namespace serve {
 namespace {
-
-CleaningProblem MakeProblem(int n = 6) {
-  std::vector<UncertainObject> objects;
-  objects.reserve(n);
-  for (int i = 0; i < n; ++i) {
-    UncertainObject object;
-    object.label = "o" + std::to_string(i);
-    object.current_value = 10.0 + i;
-    object.cost = 1.0 + 0.25 * (i % 3);
-    double mid = 10.0 + i;
-    object.dist = DiscreteDistribution({mid - 1.0, mid, mid + 2.0 + 0.5 * i},
-                                       {0.25, 0.5, 0.25});
-    objects.push_back(std::move(object));
-  }
-  return CleaningProblem(std::move(objects));
-}
-
-std::string RegisterLine(const std::string& name, const std::string& csv) {
-  JsonWriter writer;
-  writer.BeginObject()
-      .Key("op")
-      .String("register")
-      .Key("problem")
-      .String(name)
-      .Key("csv")
-      .String(csv)
-      .EndObject();
-  return writer.str();
-}
-
-std::string PlanLine(const std::string& name, double budget) {
-  return "{\"op\":\"plan\",\"problem\":\"" + name +
-         "\",\"algo\":\"greedy_minvar\",\"budget\":" + std::to_string(budget) +
-         "}";
-}
-
-std::string DeltaJson(const ProblemDelta& delta) {
-  JsonWriter writer;
-  WriteDeltaJson(delta, writer);
-  return writer.str();
-}
-
-JsonValue ParseOk(const std::string& response) {
-  std::string error;
-  std::optional<JsonValue> value = JsonValue::Parse(response, &error);
-  EXPECT_TRUE(value.has_value()) << error << " in " << response;
-  EXPECT_TRUE(value->Find("ok") != nullptr && value->Find("ok")->boolean())
-      << response;
-  return std::move(*value);
-}
-
-std::vector<int> CleanedOf(const JsonValue& plan_response) {
-  const JsonValue* cleaned =
-      plan_response.Find("result")->Find("selection")->Find("cleaned");
-  std::vector<int> out;
-  for (const JsonValue& item : cleaned->array()) {
-    out.push_back(static_cast<int>(item.number()));
-  }
-  return out;
-}
 
 std::int64_t RobustnessStat(PlanningService& service, const std::string& key) {
   JsonValue stats = ParseOk(service.HandleLine("{\"op\":\"stats\"}"));
@@ -410,6 +351,59 @@ TEST(PlanningService, IdempotencySequencesDedupeRetriedBatches) {
   EXPECT_EQ(next.Find("epoch")->number(), 3.0);
 }
 
+// Integer request fields travel as JSON doubles.  A fraction, a value
+// outside the field's range, or an idempotency sequence below 1 is a
+// request error that changes nothing, never a cast: a cast of 1e300 is
+// undefined behaviour, and on x86 turned an unapplied first batch into a
+// "replayed" acknowledgement.
+TEST(PlanningService, IntegerFieldsRejectFractionsAndOutOfRangeValues) {
+  const std::string csv = data::ProblemToCsv(MakeProblem());
+  PlanningService service;
+  ParseOk(service.HandleLine(RegisterLine("p", csv)));
+  auto expect_rejected = [&service](const std::string& line,
+                                    const std::string& field) {
+    std::optional<JsonValue> response =
+        JsonValue::Parse(service.HandleLine(line));
+    ASSERT_TRUE(response.has_value());
+    EXPECT_FALSE(response->Find("ok")->boolean()) << line;
+    ASSERT_NE(response->Find("error"), nullptr) << line;
+    EXPECT_EQ(response->Find("error")->string().find(
+                  "\"" + field + "\" must be an integer in ["),
+              0u)
+        << line << " -> " << response->Find("error")->string();
+  };
+
+  const std::string deltas =
+      ",\"deltas\":[" + DeltaJson(ProblemDelta::SetCost(0, 9.0)) + "]}";
+  for (const char* seq : {"1e300", "-1e300", "0", "1.5"}) {
+    SCOPED_TRACE(seq);
+    expect_rejected("{\"op\":\"update\",\"problem\":\"p\","
+                    "\"idempotency_seq\":" + std::string(seq) + deltas,
+                    "idempotency_seq");
+  }
+  // Nothing was applied or recorded: the first sequence still lands.
+  JsonValue first = ParseOk(service.HandleLine(
+      "{\"op\":\"update\",\"problem\":\"p\",\"idempotency_seq\":1" +
+      deltas));
+  EXPECT_EQ(first.Find("applied")->number(), 1.0);
+  EXPECT_EQ(first.Find("epoch")->number(), 1.0);
+  EXPECT_EQ(first.Find("replayed"), nullptr);
+  EXPECT_EQ(RobustnessStat(service, "idempotent_replays"), 0);
+
+  const std::string plan =
+      "{\"op\":\"plan\",\"problem\":\"p\",\"algo\":\"greedy_minvar\","
+      "\"budget\":3,";
+  expect_rejected(plan + "\"seed\":-1}", "seed");
+  expect_rejected(plan + "\"seed\":1e300}", "seed");
+  expect_rejected(plan + "\"mc_samples\":1e300}", "mc_samples");
+  expect_rejected(plan + "\"mc_samples\":2.5}", "mc_samples");
+  const std::string register_q = RegisterLine("q", csv);
+  expect_rejected(register_q.substr(0, register_q.size() - 1) +
+                      ",\"refs\":[0,4294967296]}",
+                  "refs[1]");
+  EXPECT_FALSE(service.HasProblem("q"));
+}
+
 // --- Journal overrun ------------------------------------------------------
 
 // A delta stream past CleaningProblem::kJournalCapacity (256) between two
@@ -552,19 +546,29 @@ TEST(PlanningService, StatsReadsYourWrites) {
   PlanningService service;
   ParseOk(service.HandleLine(RegisterLine("p", csv)));
 
+  // A plan response's engine counters are the session engine's lifetime
+  // counters as of the end of the request, trajectory lookups included,
+  // so the next /stats shows exactly them.
+  auto expect_next_stats_match = [&service](const JsonValue& plan) {
+    JsonValue stats = ParseOk(service.HandleLine("{\"op\":\"stats\"}"));
+    const JsonValue& engine =
+        ProblemStats(stats, 0).Find("engines")->array()[0];
+    const JsonValue* plan_stats = plan.Find("result")->Find("stats");
+    for (const CounterSpec& counter : kEngineCounters) {
+      if (counter.source != CounterSource::kEngine) continue;
+      EXPECT_EQ(engine.Find(counter.name)->number(),
+                plan_stats->Find(counter.name)->number())
+          << counter.name;
+    }
+  };
+
   JsonValue plan = ParseOk(service.HandleLine(PlanLine("p", 3.0)));
   EXPECT_EQ(plan.Find("epoch")->number(), 0.0);
+  EXPECT_GT(plan.Find("result")->Find("stats")->Find("cache_hits")->number(),
+            0.0);
+  expect_next_stats_match(plan);
   JsonValue stats = ParseOk(service.HandleLine("{\"op\":\"stats\"}"));
   EXPECT_EQ(ProblemStats(stats, 0).Find("requests")->number(), 1.0);
-  const JsonValue& engine = ProblemStats(stats, 0).Find("engines")->array()[0];
-  const JsonValue* plan_stats = plan.Find("result")->Find("stats");
-  for (const char* key : {"evaluations", "probes", "commits"}) {
-    EXPECT_EQ(engine.Find(key)->number(), plan_stats->Find(key)->number())
-        << key;
-  }
-  // The trajectory after the run adds memo hits the result's stats miss.
-  EXPECT_GE(engine.Find("cache_hits")->number(),
-            plan_stats->Find("cache_hits")->number());
 
   JsonValue update = ParseOk(service.HandleLine(
       "{\"op\":\"update\",\"problem\":\"p\",\"deltas\":[" +
@@ -575,10 +579,9 @@ TEST(PlanningService, StatsReadsYourWrites) {
                 .Find("epoch")
                 ->number(),
             2.0);
-  EXPECT_EQ(ParseOk(service.HandleLine(PlanLine("p", 3.0)))
-                .Find("epoch")
-                ->number(),
-            2.0);
+  JsonValue replan = ParseOk(service.HandleLine(PlanLine("p", 3.0)));
+  EXPECT_EQ(replan.Find("epoch")->number(), 2.0);
+  expect_next_stats_match(replan);
 
   // A validation reject (the second delta names no object) applies
   // nothing and publishes the unchanged epoch.

@@ -37,6 +37,7 @@
 #include "serve/server.h"
 #include "serve/service.h"
 #include "serve/stats.h"
+#include "serve_fixtures.h"
 #include "util/json.h"
 
 #if defined(__has_feature)
@@ -50,71 +51,6 @@ namespace serve {
 namespace {
 
 // --- Fixtures --------------------------------------------------------------
-
-// A small deterministic instance: mixed costs, 3-atom supports.
-CleaningProblem MakeProblem(int n = 6) {
-  std::vector<UncertainObject> objects;
-  objects.reserve(n);
-  for (int i = 0; i < n; ++i) {
-    UncertainObject object;
-    object.label = "o" + std::to_string(i);
-    object.current_value = 10.0 + i;
-    object.cost = 1.0 + 0.25 * (i % 3);
-    double mid = 10.0 + i;
-    object.dist = DiscreteDistribution({mid - 1.0, mid, mid + 2.0 + 0.5 * i},
-                                       {0.25, 0.5, 0.25});
-    objects.push_back(std::move(object));
-  }
-  return CleaningProblem(std::move(objects));
-}
-
-std::string RegisterLine(const std::string& name, const std::string& csv) {
-  JsonWriter writer;
-  writer.BeginObject()
-      .Key("op")
-      .String("register")
-      .Key("problem")
-      .String(name)
-      .Key("csv")
-      .String(csv)
-      .EndObject();
-  return writer.str();
-}
-
-std::string PlanLine(const std::string& name, const std::string& algo,
-                     double budget) {
-  JsonWriter writer;
-  writer.BeginObject()
-      .Key("op")
-      .String("plan")
-      .Key("problem")
-      .String(name)
-      .Key("algo")
-      .String(algo)
-      .Key("budget")
-      .Number(budget)
-      .EndObject();
-  return writer.str();
-}
-
-JsonValue ParseOk(const std::string& response) {
-  std::string error;
-  std::optional<JsonValue> value = JsonValue::Parse(response, &error);
-  EXPECT_TRUE(value.has_value()) << error << " in " << response;
-  EXPECT_TRUE(value->Find("ok") != nullptr && value->Find("ok")->boolean())
-      << response;
-  return std::move(*value);
-}
-
-std::vector<int> CleanedOf(const JsonValue& plan_response) {
-  const JsonValue* cleaned =
-      plan_response.Find("result")->Find("selection")->Find("cleaned");
-  std::vector<int> out;
-  for (const JsonValue& item : cleaned->array()) {
-    out.push_back(static_cast<int>(item.number()));
-  }
-  return out;
-}
 
 std::int64_t StatOf(const JsonValue& plan_response, const std::string& key) {
   return static_cast<std::int64_t>(
@@ -486,18 +422,6 @@ TEST(PlanningService, DistinctProblemsPlanInParallel) {
 
 // --- PlanningService: the update verb + persistence -------------------------
 
-std::string DeltaJson(const ProblemDelta& delta) {
-  JsonWriter writer;
-  WriteDeltaJson(delta, writer);
-  return writer.str();
-}
-
-std::string UpdateLine(const std::string& name,
-                       const std::string& deltas_array) {
-  return "{\"op\":\"update\",\"problem\":\"" + name +
-         "\",\"deltas\":" + deltas_array + "}";
-}
-
 std::int64_t EpochOf(PlanningService& service, const std::string& name) {
   JsonValue stats = ParseOk(service.HandleLine("{\"op\":\"stats\"}"));
   for (const JsonValue& problem : stats.Find("stats")->Find("problems")->array()) {
@@ -544,10 +468,9 @@ TEST(PlanningService, StatsPollsSeeMonotoneCountersUnderLoad) {
       for (const JsonValue& engine : problem.Find("engines")->array()) {
         const std::string prefix =
             name + "/" + engine.Find("objective")->string() + "/";
-        for (const char* key : {"evaluations", "cache_hits", "probes",
-                                "commits", "cache_evictions",
-                                "full_rebuilds"}) {
-          (*out)[prefix + key] = engine.Find(key)->number();
+        for (const CounterSpec& counter : kEngineCounters) {
+          if (counter.source != CounterSource::kEngine) continue;
+          (*out)[prefix + counter.name] = engine.Find(counter.name)->number();
         }
       }
     }
