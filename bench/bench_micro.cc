@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) of the computational kernels:
 // normal quantization, support convolution / EV terms, knapsack DP and
-// FPTAS, Cholesky / Schur complement, and one incremental greedy step.
+// FPTAS, Cholesky / Schur complement, one incremental greedy step, and
+// one served update batch.
 
 #include <benchmark/benchmark.h>
 
@@ -9,12 +10,14 @@
 #include "core/ev.h"
 #include "core/greedy.h"
 #include "data/cdc.h"
+#include "data/problem_io.h"
 #include "data/synthetic.h"
 #include "dist/kernels.h"
 #include "dist/mvn.h"
 #include "dist/normal.h"
 #include "dist/planes.h"
 #include "knapsack/knapsack.h"
+#include "serve/service.h"
 #include "util/random.h"
 
 namespace factcheck {
@@ -209,6 +212,39 @@ void BM_CdcFairnessGreedy(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CdcFairnessGreedy);
+
+void BM_ServiceUpdate(benchmark::State& state) {
+  // One `update` request through PlanningService::HandleLine, no store: a
+  // 4-delta batch (replace_dist, set_cost, add_object, remove_object) that
+  // leaves the object count where it found it, so every iteration runs the
+  // same batch.  Its cost is parse + validate + apply, all O(batch): the
+  // time should stay flat in n.
+  const int n = static_cast<int>(state.range(0));
+  serve::PlanningService service;
+  std::string error;
+  if (!service.RegisterProblem(
+          "p",
+          data::ProblemToCsv(data::MakeSynthetic(
+              data::SyntheticFamily::kUniformRandom, 7, {.size = n})),
+          {}, {}, &error)) {
+    state.SkipWithError(error.c_str());
+    return;
+  }
+  const std::string line =
+      "{\"op\":\"update\",\"problem\":\"p\",\"deltas\":["
+      "{\"kind\":\"replace_dist\",\"object\":0,\"support\":[1,2],"
+      "\"probs\":[0.5,0.5]},"
+      "{\"kind\":\"set_cost\",\"object\":1,\"cost\":2.5},"
+      "{\"kind\":\"add_object\",\"label\":\"x\",\"current\":4,"
+      "\"cost\":2,\"support\":[3,5],\"probs\":[0.25,0.75]},"
+      "{\"kind\":\"remove_object\",\"object\":" +
+      std::to_string(n) + "}]}";
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(service.HandleLine(line));
+  }
+  state.SetComplexityN(n);
+}
+BENCHMARK(BM_ServiceUpdate)->Arg(200)->Arg(700)->Arg(7000)->Complexity();
 
 }  // namespace
 }  // namespace factcheck

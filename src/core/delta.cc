@@ -80,9 +80,8 @@ bool Fail(std::string* error, const std::string& message) {
 
 }  // namespace
 
-bool ValidateDelta(const CleaningProblem& problem, const ProblemDelta& delta,
-                   std::string* error) {
-  const int n = problem.size();
+bool DeltaValidator::Accept(const ProblemDelta& delta, std::string* error) {
+  const int n = objects_;
   switch (delta.kind) {
     case DeltaKind::kAddObject:
       if (!(delta.added.cost > 0.0)) {
@@ -91,6 +90,7 @@ bool ValidateDelta(const CleaningProblem& problem, const ProblemDelta& delta,
       if (delta.added.dist.support_size() < 1) {
         return Fail(error, "add_object: distribution must be non-empty");
       }
+      objects_ += 1;
       return true;
     case DeltaKind::kRemoveObject:
       if (n == 0) return Fail(error, "remove_object: problem is empty");
@@ -100,6 +100,7 @@ bool ValidateDelta(const CleaningProblem& problem, const ProblemDelta& delta,
                                ") may be removed — interior removal would "
                                "renumber cached references");
       }
+      objects_ -= 1;
       return true;
     case DeltaKind::kReplaceDistribution:
     case DeltaKind::kSetCost:
@@ -121,6 +122,11 @@ bool ValidateDelta(const CleaningProblem& problem, const ProblemDelta& delta,
       return true;
   }
   return Fail(error, "unknown delta kind");
+}
+
+bool ValidateDelta(const CleaningProblem& problem, const ProblemDelta& delta,
+                   std::string* error) {
+  return DeltaValidator(problem.size()).Accept(delta, error);
 }
 
 }  // namespace factcheck

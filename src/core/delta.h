@@ -14,11 +14,20 @@
 // everywhere (query refs, claim components, cached set keys), so removal
 // is TAIL-ONLY — only the last object may be removed.  Interior removal
 // would renumber every later object and silently re-aim every cached
-// reference; ValidateDelta rejects it and Apply aborts on it.
+// reference; DeltaValidator rejects it and Apply aborts on it.
 //
 // Apply aborts (FC_CHECK) on an invalid delta; callers handling untrusted
 // input (the serving `update` verb, changelog replay) must gate each
-// delta through ValidateDelta first, which reports a diagnostic instead.
+// delta through DeltaValidator (or ValidateDelta) first, which reports a
+// diagnostic instead.
+//
+// Validity depends ONLY on the object count of the problem the delta will
+// be applied to (index range, tail-only removal) and on the delta's own
+// payload (positive cost, non-empty distribution).  That is what lets a
+// batch be validated all-or-nothing in O(batch): DeltaValidator carries
+// the count forward across the batch instead of applying each delta to a
+// copy of the problem.  A future check that needs more of the problem's
+// state must extend that running shape, not read the live problem.
 
 #ifndef FACTCHECK_CORE_DELTA_H_
 #define FACTCHECK_CORE_DELTA_H_
@@ -59,9 +68,28 @@ struct ProblemDelta {
   static ProblemDelta Clean(int object, double value);
 };
 
+// The running shape a batch (or a changelog) is validated against: the
+// object count after every delta accepted so far.  Accept(d) answers
+// whether d can be applied to a problem of that shape — exactly what
+// Apply would accept — and on success advances the count as Apply would
+// (+1 for add_object, -1 for remove_object), so the next delta is checked
+// against the state its predecessors leave behind.
+class DeltaValidator {
+ public:
+  explicit DeltaValidator(int objects) : objects_(objects) {}
+
+  // On failure fills `*error` (when non-null), leaves the shape as it
+  // was, and returns false; never aborts.
+  bool Accept(const ProblemDelta& delta, std::string* error);
+
+ private:
+  int objects_;
+};
+
 // Whether `delta` can be applied to `problem` in its current state: index
 // in range, positive cost, tail-only removal, positive added cost.  On
 // failure fills `*error` (when non-null) and returns false; never aborts.
+// One-delta form of DeltaValidator.
 bool ValidateDelta(const CleaningProblem& problem, const ProblemDelta& delta,
                    std::string* error);
 

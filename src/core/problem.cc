@@ -21,29 +21,7 @@ CleaningProblem::CleaningProblem(const CleaningProblem& other)
       epoch_(other.epoch_),
       journal_base_(other.journal_base_),
       journal_(other.journal_) {
-  // Snapshot the source's cache under its mutex: copying from a const
-  // problem must be safe concurrently with other const readers (who may
-  // be publishing the lazily built planes right now).  The copy shares
-  // the snapshot — cheap and correct, since a later mutation redirects
-  // only the mutated instance's pointer.  Our own mutex is uncontended
-  // here (nobody else can see a half-constructed object) but taking it
-  // keeps the lock contract uniform for the analysis.
-  std::shared_ptr<const DistPlanes> snapshot;
-  bool stale = false;
-  bool structure_dirty = false;
-  std::vector<int> dirty_rows;
-  {
-    fc::MutexLock lock(&other.planes_mutex_);
-    snapshot = other.planes_cache_;
-    stale = other.planes_stale_;
-    structure_dirty = other.planes_structure_dirty_;
-    dirty_rows = other.planes_dirty_rows_;
-  }
-  fc::MutexLock self_lock(&planes_mutex_);
-  planes_cache_ = std::move(snapshot);
-  planes_stale_ = stale;
-  planes_structure_dirty_ = structure_dirty;
-  planes_dirty_rows_ = std::move(dirty_rows);
+  AdoptPlanesCache(other, /*steal=*/false);
 }
 
 CleaningProblem& CleaningProblem::operator=(const CleaningProblem& other) {
@@ -56,22 +34,7 @@ CleaningProblem& CleaningProblem::operator=(const CleaningProblem& other) {
   epoch_ += 1;
   journal_base_ = epoch_;
   journal_.clear();
-  std::shared_ptr<const DistPlanes> snapshot;
-  bool stale = false;
-  bool structure_dirty = false;
-  std::vector<int> dirty_rows;
-  {
-    fc::MutexLock lock(&other.planes_mutex_);
-    snapshot = other.planes_cache_;
-    stale = other.planes_stale_;
-    structure_dirty = other.planes_structure_dirty_;
-    dirty_rows = other.planes_dirty_rows_;
-  }
-  fc::MutexLock self_lock(&planes_mutex_);
-  planes_cache_ = std::move(snapshot);
-  planes_stale_ = stale;
-  planes_structure_dirty_ = structure_dirty;
-  planes_dirty_rows_ = std::move(dirty_rows);
+  AdoptPlanesCache(other, /*steal=*/false);
   return *this;
 }
 
@@ -80,26 +43,7 @@ CleaningProblem::CleaningProblem(CleaningProblem&& other) noexcept
       epoch_(other.epoch_),
       journal_base_(other.journal_base_),
       journal_(std::move(other.journal_)) {
-  // Moving requires external exclusivity on `other` (it is being gutted);
-  // the mutexes are uncontended by contract and taken only so the cache
-  // handoff satisfies the same machine-checked discipline as every other
-  // planes_cache_ access.
-  std::shared_ptr<const DistPlanes> snapshot;
-  bool stale = false;
-  bool structure_dirty = false;
-  std::vector<int> dirty_rows;
-  {
-    fc::MutexLock lock(&other.planes_mutex_);
-    snapshot = std::move(other.planes_cache_);
-    stale = other.planes_stale_;
-    structure_dirty = other.planes_structure_dirty_;
-    dirty_rows = std::move(other.planes_dirty_rows_);
-  }
-  fc::MutexLock self_lock(&planes_mutex_);
-  planes_cache_ = std::move(snapshot);
-  planes_stale_ = stale;
-  planes_structure_dirty_ = structure_dirty;
-  planes_dirty_rows_ = std::move(dirty_rows);
+  AdoptPlanesCache(other, /*steal=*/true);
 }
 
 CleaningProblem& CleaningProblem::operator=(CleaningProblem&& other) noexcept {
@@ -110,23 +54,43 @@ CleaningProblem& CleaningProblem::operator=(CleaningProblem&& other) noexcept {
   epoch_ += 1;
   journal_base_ = epoch_;
   journal_.clear();
+  AdoptPlanesCache(other, /*steal=*/true);
+  return *this;
+}
+
+void CleaningProblem::AdoptPlanesCache(const CleaningProblem& other,
+                                       bool steal) {
+  // Snapshot the source's cache under its mutex: copying from a const
+  // problem must be safe concurrently with other const readers (who may
+  // be publishing the lazily built planes right now).  A copy shares the
+  // snapshot — cheap and correct, since a later mutation redirects only
+  // the mutated instance's pointer.  A move requires external exclusivity
+  // on `other` (it is being gutted), so its mutex is uncontended.  Our own
+  // mutex is uncontended too (nobody else can see an instance being
+  // constructed or assigned), but both are taken so the handoff satisfies
+  // the same machine-checked discipline as every other planes_cache_
+  // access.
   std::shared_ptr<const DistPlanes> snapshot;
   bool stale = false;
   bool structure_dirty = false;
   std::vector<int> dirty_rows;
   {
     fc::MutexLock lock(&other.planes_mutex_);
-    snapshot = std::move(other.planes_cache_);
+    if (steal) {
+      snapshot = std::move(other.planes_cache_);
+      dirty_rows = std::move(other.planes_dirty_rows_);
+    } else {
+      snapshot = other.planes_cache_;
+      dirty_rows = other.planes_dirty_rows_;
+    }
     stale = other.planes_stale_;
     structure_dirty = other.planes_structure_dirty_;
-    dirty_rows = std::move(other.planes_dirty_rows_);
   }
   fc::MutexLock self_lock(&planes_mutex_);
   planes_cache_ = std::move(snapshot);
   planes_stale_ = stale;
   planes_structure_dirty_ = structure_dirty;
   planes_dirty_rows_ = std::move(dirty_rows);
-  return *this;
 }
 
 const UncertainObject& CleaningProblem::object(int i) const {

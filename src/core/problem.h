@@ -102,7 +102,7 @@ class CleaningProblem {
   // Folds one streaming delta (core/delta.h) into the instance in
   // O(changed objects): one journal record, one dirty plane row (or a
   // structural invalidation for add/remove).  Aborts on an invalid delta
-  // — untrusted callers gate through ValidateDelta first.
+  // — untrusted callers gate through DeltaValidator (core/delta.h) first.
   void Apply(const ProblemDelta& delta);
 
   // The monotone mutation counter: starts at 0, advanced by every
@@ -154,6 +154,12 @@ class CleaningProblem {
   static constexpr std::size_t kJournalCapacity = 256;
 
   void RecordMutation(std::uint8_t flags, int object);
+  // The planes-cache half of every copy and move: installs `other`'s
+  // cache state here, sharing its snapshot (copy) or taking it over
+  // (`steal`, for moves; the members are mutable, so a const reference
+  // suffices).
+  void AdoptPlanesCache(const CleaningProblem& other, bool steal)
+      FC_EXCLUDES(planes_mutex_);
   void MarkPlanesRowDirty(int i) FC_EXCLUDES(planes_mutex_);
   void MarkPlanesStructureDirty() FC_EXCLUDES(planes_mutex_);
 

@@ -315,8 +315,9 @@ bool DecodeSnapshot(const std::string& text, std::int64_t* seq,
   if (!json->is_object()) return Fail(error, "snapshot must be an object");
   double seq_number = 0.0;
   if (!GetNumber(*json, "seq", &seq_number, error)) return false;
-  if (seq_number < 0 || seq_number != std::floor(seq_number)) {
-    return Fail(error, "\"seq\" must be a non-negative integer");
+  if (seq_number < 0 || seq_number > kMaxExactInteger ||
+      seq_number != std::floor(seq_number)) {
+    return Fail(error, "\"seq\" must be an integer in [0, 2^53]");
   }
   *seq = static_cast<std::int64_t>(seq_number);
   const JsonValue* csv_value = json->Find("csv");
@@ -352,9 +353,10 @@ std::string EncodeLogRecord(std::int64_t seq, const ProblemDelta& delta) {
 bool ReplayChangelog(const std::string& log, std::int64_t base_seq,
                      CleaningProblem* problem, std::int64_t* last_seq,
                      std::string* error) {
-  // Parse + validate the whole log against a scratch copy first, so a
-  // defect anywhere leaves the caller's problem untouched.
-  CleaningProblem scratch = *problem;
+  // Parse + validate the whole log against the running object count
+  // first (core/delta.h DeltaValidator), so a defect anywhere leaves the
+  // caller's problem untouched.
+  DeltaValidator shape(problem->size());
   std::vector<ProblemDelta> applied;
   std::int64_t previous_seq = -1;  // any first seq is an increase
   std::int64_t applied_seq = base_seq;
@@ -384,8 +386,9 @@ bool ReplayChangelog(const std::string& log, std::int64_t base_seq,
     if (!GetNumber(*record, "seq", &seq_number, &parse_error)) {
       return Fail(error, where + ": " + parse_error);
     }
-    if (seq_number < 1 || seq_number != std::floor(seq_number)) {
-      return Fail(error, where + ": \"seq\" must be a positive integer");
+    if (seq_number < 1 || seq_number > kMaxExactInteger ||
+        seq_number != std::floor(seq_number)) {
+      return Fail(error, where + ": \"seq\" must be an integer in [1, 2^53]");
     }
     const std::int64_t seq = static_cast<std::int64_t>(seq_number);
     if (seq <= previous_seq) {
@@ -405,10 +408,9 @@ bool ReplayChangelog(const std::string& log, std::int64_t base_seq,
     }
     ProblemDelta delta;
     if (!DeltaFromJson(*delta_json, &delta, &parse_error) ||
-        !ValidateDelta(scratch, delta, &parse_error)) {
+        !shape.Accept(delta, &parse_error)) {
       return Fail(error, where + ": " + parse_error);
     }
-    scratch.Apply(delta);
     applied.push_back(std::move(delta));
     applied_seq = seq;
   }

@@ -27,7 +27,8 @@
 // also fails; operators recover by deleting the bad suffix by hand.
 // Nothing half-applied ever becomes visible: ReplayChangelog mutates the
 // caller's problem only after the full log has been parsed and validated
-// against a scratch copy.
+// against the running object count (core/delta.h DeltaValidator), which
+// costs O(records) however large the problem is.
 
 #ifndef FACTCHECK_SERVE_CHANGELOG_H_
 #define FACTCHECK_SERVE_CHANGELOG_H_
@@ -65,7 +66,8 @@ void WriteDeltaJson(const ProblemDelta& delta, JsonWriter& writer);
 // probabilities with positive total mass) before any DiscreteDistribution
 // is constructed, so untrusted input yields false + diagnostic instead of
 // an FC_CHECK failure.  Structural validity against a concrete problem
-// (index ranges, tail-only removal) is ValidateDelta's job, not this one's.
+// (index ranges, tail-only removal) is DeltaValidator's job, not this
+// one's.
 bool DeltaFromJson(const JsonValue& json, ProblemDelta* out,
                    std::string* error);
 
@@ -80,7 +82,8 @@ std::string EncodeSnapshot(const CleaningProblem& problem,
 
 // Parses a snapshot document back into its parts (the CSV is returned
 // verbatim for data::ProblemFromCsv).  False + diagnostic on malformed
-// input; never aborts.
+// input, including a "seq" that is not an integer in [0, 2^53]; never
+// aborts.
 bool DecodeSnapshot(const std::string& text, std::int64_t* seq,
                     std::string* csv, std::vector<int>* refs,
                     std::vector<double>* coeffs, std::string* error);
@@ -99,9 +102,10 @@ std::string EncodeLogRecord(std::int64_t seq, const ProblemDelta& delta);
 // an empty log) and returns true.  On ANY defect — parse failure, torn
 // line, duplicate / out-of-order seq, gap, invalid delta — returns false
 // with a diagnostic and leaves `*problem` UNTOUCHED (all-or-nothing: the
-// log is fully validated against a scratch copy before the real problem
-// is mutated).  Pure function of its inputs; the fuzz harness drives it
-// directly.
+// log is fully validated against the running object count before the
+// real problem is mutated).  Record sequence numbers must be integers in
+// [1, 2^53] (kMaxExactInteger).  Pure function of its inputs; the fuzz
+// harness drives it directly.
 bool ReplayChangelog(const std::string& log, std::int64_t base_seq,
                      CleaningProblem* problem, std::int64_t* last_seq,
                      std::string* error);

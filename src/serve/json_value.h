@@ -13,6 +13,7 @@
 #ifndef FACTCHECK_SERVE_JSON_VALUE_H_
 #define FACTCHECK_SERVE_JSON_VALUE_H_
 
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
@@ -20,6 +21,12 @@
 
 namespace factcheck {
 namespace serve {
+
+// Integers travel as JSON numbers (IEEE doubles), which hold every
+// integer up to 2^53 exactly.  Integer fields (request fields, changelog
+// and snapshot sequence numbers) are range-checked against this bound
+// before any cast to an integer type: past it a cast is undefined.
+constexpr std::int64_t kMaxExactInteger = std::int64_t{1} << 53;
 
 class JsonValue {
  public:

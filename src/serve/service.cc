@@ -46,10 +46,6 @@ bool ReadNumber(const JsonValue& request, const std::string& key, bool* found,
   return true;
 }
 
-// Integers travel as JSON numbers (IEEE doubles), which hold every
-// integer up to 2^53 exactly.
-constexpr std::int64_t kMaxExactInteger = std::int64_t{1} << 53;
-
 // Converts an integral JSON number in [min, max] (bounds within ±2^53, so
 // the comparisons are exact); false (with a diagnostic naming `what`) on a
 // non-number, a fraction, or an out-of-range value — a cast would be
@@ -622,10 +618,11 @@ PlanningService::ApplyOutcome PlanningService::ApplyUpdate(
     }
   }
   {
-    // All or nothing: the whole batch must validate against a scratch
-    // copy before the first delta touches the live problem, so a reject
-    // midway never leaves a half-applied state for the next plan.
-    CleaningProblem scratch = entry->problem;
+    // All or nothing: the whole batch must validate against the running
+    // object count (core/delta.h DeltaValidator) before the first delta
+    // touches the live problem, so a reject midway never leaves a
+    // half-applied state for the next plan.
+    DeltaValidator shape(entry->problem.size());
     const std::vector<int>& refs = entry->query.References();
     for (size_t i = 0; i < deltas.size(); ++i) {
       const ProblemDelta& delta = deltas[i];
@@ -638,11 +635,10 @@ PlanningService::ApplyOutcome PlanningService::ApplyUpdate(
         return outcome;
       }
       std::string detail;
-      if (!ValidateDelta(scratch, delta, &detail)) {
+      if (!shape.Accept(delta, &detail)) {
         Fail(error, "deltas[" + std::to_string(i) + "]: " + detail);
         return outcome;
       }
-      scratch.Apply(delta);
     }
   }
   for (const ProblemDelta& delta : deltas) entry->problem.Apply(delta);

@@ -54,9 +54,10 @@
 //           "epoch":E,"objects":n}
 //     Applies a batch of typed ProblemDeltas (serve/changelog.h JSON
 //     encoding; core/delta.h semantics) to a registered problem, all or
-//     nothing: every delta is validated against a scratch copy before
-//     the first one touches the live problem, and a delta that would
-//     remove a query-referenced object is rejected.  Runs under the
+//     nothing: every delta is validated against the running object count
+//     (core/delta.h DeltaValidator, O(batch) whatever the problem size)
+//     before the first one touches the live problem, and a delta that
+//     would remove a query-referenced object is rejected.  Runs under the
 //     problem's run mutex, so concurrent plans see either the old or the
 //     new state, never a half-applied batch.  Session engines are NOT
 //     discarded — they downdate their memos via the problem's mutation
@@ -280,10 +281,11 @@ class PlanningService {
   // The update verb's run-mutex section.  Rejects an expired `deadline`
   // and an `idempotency_seq` ahead of the cursor, acknowledges one behind
   // it as a replay, and otherwise validates `deltas` all-or-nothing
-  // against a scratch copy, applies them to the live problem, advances the
-  // sequence cursor, and persists when a store is attached.  ok=false +
-  // diagnostic on a reject (nothing applied) or a persistence failure
-  // (applied in memory; the diagnostic says so).
+  // against the running object count plus the query's references, applies
+  // them to the live problem, advances the sequence cursor, and persists
+  // when a store is attached.  ok=false + diagnostic on a reject (nothing
+  // applied) or a persistence failure (applied in memory; the diagnostic
+  // says so).
   ApplyOutcome ApplyUpdate(ProblemEntry* entry,
                            const std::vector<ProblemDelta>& deltas,
                            std::optional<std::int64_t> idempotency_seq,

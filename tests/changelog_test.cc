@@ -276,6 +276,99 @@ TEST(Replay, FailsClosedAndLeavesTheProblemUntouched) {
   }
 }
 
+// Records are validated against the object count the records before them
+// leave behind, exactly as the live problem would see them.
+TEST(Replay, AnAddedIndexIsUsableByLaterRecords) {
+  CleaningProblem problem = MakeShiftedProblem(5);
+  UncertainObject added;
+  added.label = "x";
+  added.current_value = 4.0;
+  added.cost = 2.0;
+  added.dist = DiscreteDistribution({3.0, 5.0}, {0.25, 0.75});
+  const std::vector<ProblemDelta> deltas = {ProblemDelta::AddObject(added),
+                                            ProblemDelta::SetCost(5, 7.0)};
+  CleaningProblem oracle = problem;
+  for (const ProblemDelta& delta : deltas) oracle.Apply(delta);
+
+  std::int64_t last_seq = 0;
+  std::string error;
+  ASSERT_TRUE(
+      ReplayChangelog(LogText(deltas, 1), 0, &problem, &last_seq, &error))
+      << error;
+  EXPECT_EQ(last_seq, 2);
+  ASSERT_EQ(problem.size(), 6);
+  EXPECT_EQ(problem.object(5).cost, 7.0);
+  EXPECT_EQ(data::ProblemToCsv(problem), data::ProblemToCsv(oracle));
+}
+
+TEST(Replay, ARemovedIndexFailsClosed) {
+  CleaningProblem problem = MakeShiftedProblem(5);
+  const std::string before = data::ProblemToCsv(problem);
+  const std::vector<ProblemDelta> deltas = {ProblemDelta::RemoveObject(4),
+                                            ProblemDelta::SetCost(4, 7.0)};
+  std::int64_t last_seq = 0;
+  std::string error;
+  EXPECT_FALSE(
+      ReplayChangelog(LogText(deltas, 1), 0, &problem, &last_seq, &error));
+  EXPECT_NE(error.find("changelog line 2"), std::string::npos) << error;
+  EXPECT_NE(error.find("out of range"), std::string::npos) << error;
+  EXPECT_EQ(data::ProblemToCsv(problem), before);
+  EXPECT_EQ(problem.epoch(), 0u);
+}
+
+// Sequence numbers are doubles on the wire: anything past 2^53 (where a
+// cast to int64 is undefined once past its range) is rejected by value,
+// and 2^53 itself still replays.
+TEST(Replay, SeqBeyondTwoToThe53IsRejected) {
+  const std::string delta =
+      ",\"delta\":{\"kind\":\"set_cost\",\"object\":1,\"cost\":3.5}}\n";
+  for (const char* seq : {"1e300", "9007199254740994", "-1e300"}) {
+    CleaningProblem problem = MakeShiftedProblem();
+    std::int64_t last_seq = 0;
+    std::string error;
+    EXPECT_FALSE(ReplayChangelog(std::string("{\"seq\":") + seq + delta, 0,
+                                 &problem, &last_seq, &error))
+        << seq;
+    EXPECT_NE(error.find("must be an integer in [1, 2^53]"),
+              std::string::npos)
+        << seq << ": " << error;
+    EXPECT_EQ(problem.epoch(), 0u) << seq;
+  }
+  CleaningProblem problem = MakeShiftedProblem();
+  std::int64_t last_seq = 0;
+  std::string error;
+  ASSERT_TRUE(ReplayChangelog("{\"seq\":9007199254740992" + delta,
+                              kMaxExactInteger - 1, &problem, &last_seq,
+                              &error))
+      << error;
+  EXPECT_EQ(last_seq, kMaxExactInteger);
+}
+
+TEST(SnapshotCodec, SeqBeyondTwoToThe53IsRejected) {
+  const std::string rest =
+      ",\"refs\":[0],\"coeffs\":[1],\"csv\":\"x\"}";
+  for (const char* seq : {"1e300", "9007199254740994"}) {
+    std::int64_t out = 0;
+    std::string csv, error;
+    std::vector<int> refs;
+    std::vector<double> coeffs;
+    EXPECT_FALSE(DecodeSnapshot(std::string("{\"seq\":") + seq + rest, &out,
+                                &csv, &refs, &coeffs, &error))
+        << seq;
+    EXPECT_NE(error.find("must be an integer in [0, 2^53]"),
+              std::string::npos)
+        << seq << ": " << error;
+  }
+  std::int64_t out = 0;
+  std::string csv, error;
+  std::vector<int> refs;
+  std::vector<double> coeffs;
+  ASSERT_TRUE(DecodeSnapshot("{\"seq\":9007199254740992" + rest, &out, &csv,
+                             &refs, &coeffs, &error))
+      << error;
+  EXPECT_EQ(out, kMaxExactInteger);
+}
+
 // --- ChangelogStore ---------------------------------------------------------
 
 TEST(ChangelogStore, ValidNameRestrictsFileStems) {

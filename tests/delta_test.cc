@@ -1,5 +1,6 @@
 // The streaming-delta subsystem (core/delta.h): ProblemDelta validation
-// and Apply semantics, the mutation epoch + change journal
+// (one delta, and a batch against the running shape) and Apply semantics,
+// the mutation epoch + change journal
 // (CleaningProblem::epoch / ChangesSince), the O(changed rows) partial
 // planes rebuild, and EvalEngine's epoch downdating (BindProblem) — the
 // cache-consistency contracts the replan_scaling bench gate quantifies.
@@ -79,6 +80,148 @@ TEST(ValidateDelta, RejectsNonPositiveCosts) {
   UncertainObject bad = MakeObject("bad");
   bad.cost = -1.0;
   EXPECT_FALSE(ValidateDelta(problem, ProblemDelta::AddObject(bad), &error));
+}
+
+// --- DeltaValidator: the running shape -------------------------------------
+
+// Index of the first delta the running shape rejects, or -1 when it
+// accepts the whole batch.
+int FirstRejected(int objects, const std::vector<ProblemDelta>& batch,
+                  std::string* error) {
+  DeltaValidator shape(objects);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    if (!shape.Accept(batch[i], error)) return static_cast<int>(i);
+  }
+  return -1;
+}
+
+// The validation the running shape replaces: each delta checked against a
+// scratch copy of the problem that already holds its predecessors.
+int FirstRejectedByScratchCopy(const CleaningProblem& problem,
+                               const std::vector<ProblemDelta>& batch,
+                               std::string* error) {
+  CleaningProblem scratch = problem;
+  for (size_t i = 0; i < batch.size(); ++i) {
+    if (!ValidateDelta(scratch, batch[i], error)) return static_cast<int>(i);
+    scratch.Apply(batch[i]);
+  }
+  return -1;
+}
+
+// Each delta is checked against the object count its predecessors leave
+// behind: an added index is usable at once, a removed one is gone at once.
+TEST(DeltaValidator, ChecksEachDeltaAgainstTheRunningObjectCount) {
+  struct Case {
+    const char* name;
+    std::vector<ProblemDelta> batch;
+    int rejected_at;  // -1: accepted
+    const char* needle;
+  };
+  const Case cases[] = {
+      {"add then use",
+       {ProblemDelta::AddObject(MakeObject("x")), ProblemDelta::SetCost(4, 3.0)},
+       -1, ""},
+      {"add then remove the added tail",
+       {ProblemDelta::AddObject(MakeObject("x")), ProblemDelta::RemoveObject(4)},
+       -1, ""},
+      {"remove twice",
+       {ProblemDelta::RemoveObject(3), ProblemDelta::RemoveObject(2)}, -1, ""},
+      {"remove then use",
+       {ProblemDelta::RemoveObject(3), ProblemDelta::SetCost(3, 3.0)}, 1,
+       "out of range (problem has 3 objects)"},
+      {"remove the old tail twice",
+       {ProblemDelta::RemoveObject(3), ProblemDelta::RemoveObject(3)}, 1,
+       "only the last object (index 2)"},
+  };
+  for (const Case& c : cases) {
+    std::string error;
+    EXPECT_EQ(FirstRejected(4, c.batch, &error), c.rejected_at)
+        << c.name << ": " << error;
+    EXPECT_NE(error.find(c.needle), std::string::npos)
+        << c.name << ": " << error;
+  }
+}
+
+TEST(DeltaValidator, ARejectLeavesTheShapeAsItWas) {
+  std::string error;
+  DeltaValidator shape(2);
+  EXPECT_FALSE(shape.Accept(ProblemDelta::RemoveObject(0), &error));
+  UncertainObject bad = MakeObject("bad");
+  bad.cost = 0.0;
+  EXPECT_FALSE(shape.Accept(ProblemDelta::AddObject(bad), &error));
+  // Still two objects: the tail is 1, and two removals empty it.
+  EXPECT_TRUE(shape.Accept(ProblemDelta::RemoveObject(1), &error)) << error;
+  EXPECT_TRUE(shape.Accept(ProblemDelta::RemoveObject(0), &error)) << error;
+  EXPECT_FALSE(shape.Accept(ProblemDelta::RemoveObject(0), &error));
+  EXPECT_NE(error.find("problem is empty"), std::string::npos) << error;
+}
+
+// All or nothing: a batch whose LAST delta is rejected applies nothing, so
+// the problem keeps its epoch and serializes to the same snapshot bytes.
+TEST(DeltaValidator, ABatchRejectedAtItsLastDeltaLeavesTheProblemUntouched) {
+  CleaningProblem problem = MakeProblem(4);
+  const std::vector<int> refs = {0, 1};
+  const std::vector<double> coeffs = {1.0, 1.0};
+  const std::string before = serve::EncodeSnapshot(problem, refs, coeffs, 0);
+  const std::vector<ProblemDelta> batch = {
+      ProblemDelta::SetCost(0, 9.0),
+      ProblemDelta::AddObject(MakeObject("x")),
+      ProblemDelta::Clean(1, 10.0),
+      ProblemDelta::SetCost(5, 1.0),  // one past the new tail
+  };
+  std::string error;
+  const int rejected = FirstRejected(problem.size(), batch, &error);
+  EXPECT_EQ(rejected, 3);
+  if (rejected == -1) {
+    for (const ProblemDelta& delta : batch) problem.Apply(delta);
+  }
+  EXPECT_EQ(problem.epoch(), 0u);
+  EXPECT_EQ(serve::EncodeSnapshot(problem, refs, coeffs, 0), before);
+}
+
+// The running shape accepts and rejects exactly what validation against a
+// scratch copy did, at the same index and with the same diagnostic, on
+// every batch of up to three deltas drawn from an alphabet that covers
+// each kind, each index around the shrinking and growing tail, and each
+// payload defect.
+TEST(DeltaValidator, MatchesScratchCopyValidationOnEveryShortBatch) {
+  UncertainObject bad_cost = MakeObject("bad");
+  bad_cost.cost = -1.0;
+  std::vector<ProblemDelta> alphabet = {
+      ProblemDelta::AddObject(MakeObject("x")),
+      ProblemDelta::AddObject(bad_cost),
+      ProblemDelta::SetCost(0, 0.0),
+  };
+  for (int i = -1; i <= 4; ++i) {
+    alphabet.push_back(ProblemDelta::RemoveObject(i));
+    alphabet.push_back(ProblemDelta::SetCost(i, 2.0));
+    alphabet.push_back(ProblemDelta::Clean(i, 1.0));
+  }
+  const CleaningProblem problem = MakeProblem(2);
+  const int k = static_cast<int>(alphabet.size());
+  int batches = 0;
+  int accepted = 0;
+  for (int length = 1; length <= 3; ++length) {
+    int count = 1;
+    for (int j = 0; j < length; ++j) count *= k;
+    for (int code = 0; code < count; ++code) {
+      std::vector<ProblemDelta> batch;
+      for (int j = 0, c = code; j < length; ++j, c /= k) {
+        batch.push_back(alphabet[c % k]);
+      }
+      std::string error, oracle_error;
+      const int got = FirstRejected(problem.size(), batch, &error);
+      const int want =
+          FirstRejectedByScratchCopy(problem, batch, &oracle_error);
+      ASSERT_EQ(got, want) << "batch " << length << ":" << code;
+      ASSERT_EQ(error, oracle_error) << "batch " << length << ":" << code;
+      ++batches;
+      accepted += got == -1 ? 1 : 0;
+    }
+  }
+  // The enumeration reaches both outcomes, not just rejects.
+  EXPECT_GT(accepted, 100);
+  EXPECT_GT(batches - accepted, 100);
 }
 
 // --- Apply ------------------------------------------------------------------

@@ -3,7 +3,11 @@
 // time.  The contract under fuzzing: HandleLine never crashes, never
 // aborts, and ALWAYS returns exactly one well-formed JSON object with a
 // boolean "ok" member — malformed requests, unknown ops, bad deltas,
-// out-of-range budgets, deadline/idempotency fields included.
+// out-of-range budgets, deadline/idempotency fields included.  And any
+// request answered ok:false leaves the problem's epoch and object count
+// as they were: an update is all or nothing, and this service has no
+// changelog store, so ok:false can never mean "applied in memory but not
+// persisted".
 //
 // Each input runs against a fresh service with one small registered
 // problem ("p"), so deep plan/update paths are reachable and no state
@@ -19,6 +23,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "serve/json_value.h"
 #include "serve/service.h"
@@ -44,6 +49,16 @@ bool TooExpensive(const std::string& line) {
          samples->number() > 1024;
 }
 
+// The registered problem's {epoch, objects}, read from /stats.
+std::pair<double, double> Shape(factcheck::serve::PlanningService& service) {
+  std::optional<factcheck::serve::JsonValue> stats =
+      factcheck::serve::JsonValue::Parse(service.StatsJson());
+  if (!stats.has_value()) __builtin_trap();
+  const factcheck::serve::JsonValue& problem =
+      stats->Find("problems")->array().at(0);
+  return {problem.Find("epoch")->number(), problem.Find("objects")->number()};
+}
+
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
@@ -56,6 +71,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   std::string error;
   if (!service.RegisterProblem("p", kCsv, {}, {}, &error)) __builtin_trap();
 
+  const std::pair<double, double> before = Shape(service);
   const std::string response = service.HandleLine(line);
   if (response.empty()) __builtin_trap();
   std::string parse_error;
@@ -65,6 +81,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   if (!json->is_object()) __builtin_trap();
   const factcheck::serve::JsonValue* ok = json->Find("ok");
   if (ok == nullptr || !ok->is_bool()) __builtin_trap();
+  if (!ok->boolean() && Shape(service) != before) __builtin_trap();
   return 0;
 }
 

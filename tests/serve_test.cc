@@ -630,6 +630,62 @@ TEST(PlanningService, UpdateErrorPathsAreAllOrNothing) {
   EXPECT_EQ(EpochOf(service, "p"), 1);
 }
 
+// Each delta of a batch is validated against the object count its
+// predecessors leave behind: an added index is usable at once, a removed
+// one is gone at once.
+TEST(PlanningService, UpdateValidatesAgainstTheRunningObjectCount) {
+  const std::string csv = data::ProblemToCsv(MakeProblem(6));
+  UncertainObject added;
+  added.label = "x";
+  added.current_value = 4.0;
+  added.cost = 2.0;
+  added.dist = DiscreteDistribution({3.0, 5.0}, {0.25, 0.75});
+  struct Case {
+    const char* name;
+    std::vector<ProblemDelta> batch;
+    int objects_after;  // -1: rejected
+  };
+  const Case cases[] = {
+      {"add then use", {ProblemDelta::AddObject(added),
+                        ProblemDelta::SetCost(6, 3.0)}, 7},
+      {"add then remove", {ProblemDelta::AddObject(added),
+                           ProblemDelta::RemoveObject(6)}, 6},
+      {"remove twice", {ProblemDelta::RemoveObject(5),
+                        ProblemDelta::RemoveObject(4)}, 4},
+      {"remove then use", {ProblemDelta::RemoveObject(5),
+                           ProblemDelta::SetCost(5, 3.0)}, -1},
+  };
+  for (const Case& c : cases) {
+    PlanningService service;
+    std::string error;
+    // The query references only the head, so tail removals are allowed.
+    ASSERT_TRUE(service.RegisterProblem("p", csv, {0, 1}, {1.0, 1.0}, &error))
+        << error;
+    std::string deltas = "[";
+    for (const ProblemDelta& delta : c.batch) {
+      if (deltas.size() > 1) deltas += ",";
+      deltas += DeltaJson(delta);
+    }
+    deltas += "]";
+    std::optional<JsonValue> response =
+        JsonValue::Parse(service.HandleLine(UpdateLine("p", deltas)));
+    ASSERT_TRUE(response.has_value()) << c.name;
+    if (c.objects_after < 0) {
+      EXPECT_FALSE(response->Find("ok")->boolean()) << c.name;
+      EXPECT_NE(response->Find("error")->string().find("deltas[1]"),
+                std::string::npos)
+          << c.name << ": " << response->Find("error")->string();
+      EXPECT_EQ(EpochOf(service, "p"), 0) << c.name;
+    } else {
+      ASSERT_TRUE(response->Find("ok")->boolean())
+          << c.name << ": " << response->Find("error")->string();
+      EXPECT_EQ(response->Find("objects")->number(), c.objects_after)
+          << c.name;
+      EXPECT_EQ(EpochOf(service, "p"), 2) << c.name;
+    }
+  }
+}
+
 TEST(PlanningService, UpdateRejectsRemovingQueryReferencedObjects) {
   CleaningProblem problem = MakeProblem(6);
   const std::string csv = data::ProblemToCsv(problem);
@@ -659,6 +715,57 @@ TEST(PlanningService, UpdateRejectsRemovingQueryReferencedObjects) {
 std::string TestChangelogDir(const char* tag) {
   return "/tmp/fc_serve_chlog_" + std::string(tag) + "_" +
          std::to_string(::getpid());
+}
+
+// A batch rejected at its LAST delta applies none of the earlier ones: the
+// epoch, the object count and the next plan are those of a service that
+// never saw the batch, and nothing reaches the changelog.
+TEST(PlanningService, UpdateRejectedAtTheLastDeltaChangesNothing) {
+  const std::string dir = TestChangelogDir("last_reject");
+  std::filesystem::remove_all(dir);
+  auto read_file = [](const std::string& path) {
+    std::ifstream in(path);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  const std::string csv = data::ProblemToCsv(MakeProblem(6));
+  PlanningService service;
+  PlanningService untouched;
+  std::string error;
+  ASSERT_TRUE(service.EnablePersistence(dir, &error)) << error;
+  ParseOk(service.HandleLine(RegisterLine("p", csv)));
+  ParseOk(untouched.HandleLine(RegisterLine("p", csv)));
+  const std::string snapshot = read_file(dir + "/p.snapshot");
+  ASSERT_FALSE(snapshot.empty());
+
+  const std::string batch =
+      "[" + DeltaJson(ProblemDelta::SetCost(0, 9.0)) + "," +
+      DeltaJson(ProblemDelta::Clean(2, 10.0)) + "," +
+      DeltaJson(ProblemDelta::SetCurrentValue(3, 1.0)) + "," +
+      DeltaJson(ProblemDelta::SetCost(6, 1.0)) + "]";
+  std::optional<JsonValue> response =
+      JsonValue::Parse(service.HandleLine(UpdateLine("p", batch)));
+  ASSERT_TRUE(response.has_value());
+  EXPECT_FALSE(response->Find("ok")->boolean());
+  EXPECT_NE(response->Find("error")->string().find("deltas[3]"),
+            std::string::npos)
+      << response->Find("error")->string();
+
+  EXPECT_EQ(EpochOf(service, "p"), 0);
+  JsonValue stats = ParseOk(service.HandleLine("{\"op\":\"stats\"}"));
+  EXPECT_EQ(
+      stats.Find("stats")->Find("problems")->array()[0].Find("objects")
+          ->number(),
+      6.0);
+  // Everything before the timing-bearing stats block: selection,
+  // objective value and trajectory.
+  auto result_prefix = [](const std::string& response) {
+    return response.substr(0, response.find(",\"stats\":"));
+  };
+  EXPECT_EQ(result_prefix(service.HandleLine(PlanLine("p", 3.0))),
+            result_prefix(untouched.HandleLine(PlanLine("p", 3.0))));
+  EXPECT_EQ(read_file(dir + "/p.snapshot"), snapshot);
+  EXPECT_EQ(read_file(dir + "/p.log"), "");
+  std::filesystem::remove_all(dir);
 }
 
 // A restarted service replays the changelog and serves plans bit-identical
